@@ -33,13 +33,10 @@ BASELINE_REF="${BASELINE_REF:-}"
 OUT="${OUT:-BENCH.json}"
 
 # Every benchmark section records the cpus/gomaxprocs it ran under: wall-clock
-# numbers are meaningless without them (a 4-lane sweep on 1 CPU timeslices
-# instead of parallelizing), and tools/benchmerge rejects records that omit
-# them. Most sections run at the Go default; the fig16 lane sweep pins
-# GOMAXPROCS=4 so the lane-speedup column is comparable across machines.
+# numbers are meaningless without them, and tools/benchmerge rejects records
+# that omit them. Every section runs at the Go default GOMAXPROCS.
 CPUS="$(nproc)"
 GMP="${GOMAXPROCS:-$CPUS}"
-FIG16_GMP=4
 
 MICRO='BenchmarkTimerChurn|BenchmarkProcContextSwitch|BenchmarkQueueHandoff|BenchmarkManyProcs|BenchmarkSimKernel'
 FIGS='BenchmarkFig8aJobFrequency|BenchmarkFig9Utilization'
@@ -100,11 +97,11 @@ echo "fig15 (scheduler throughput, 10k sharePods)..." >&2
 go test . -run xxx -bench 'BenchmarkFig15SchedulerThroughput/full$' -benchtime 1x 2>/dev/null |
   grep '^BenchmarkFig15' >"$FIG15_RAW" || true
 
-# Hot-path scale sweep (Figure 16): 1k → 10k → 100k sharePods at 1 and 4
-# event lanes under GOMAXPROCS=4. The run itself verifies placements are
-# byte-identical across lane counts; the recorded numbers are wall-clock.
-echo "fig16 (scale sweep to 100k sharePods, GOMAXPROCS=$FIG16_GMP)..." >&2
-GOMAXPROCS=$FIG16_GMP go test . -run xxx -bench 'BenchmarkFig16ScaleSweep/full$' -benchtime 1x 2>/dev/null |
+# Scheduler scale sweep (Figure 16): 1k → 10k → 100k sharePods through the
+# batched scheduler. The recorded numbers are per-size wall-clock and the
+# decision count that wall time paid for (deterministic per size).
+echo "fig16 (scale sweep to 100k sharePods)..." >&2
+go test . -run xxx -bench 'BenchmarkFig16ScaleSweep/full$' -benchtime 1x 2>/dev/null |
   grep '^BenchmarkFig16' >"$FIG16_RAW" || true
 
 # Control-plane recovery sweep (Figure 17): restart intensity × checkpoint
@@ -214,22 +211,17 @@ WITHIN="$(awk -v o="$OVERHEAD" 'BEGIN { print (o <= 0.05) ? "true" : "false" }')
     echo '  },'
   fi
   if [ -s "$FIG16_RAW" ]; then
-    echo '  "fig16_scale_sweep": {'
-    echo "    \"benchmark\": \"BenchmarkFig16ScaleSweep/full (churn workload, 1 vs 4 event lanes, GOMAXPROCS=$FIG16_GMP)\","
+    echo '  "fig16_scale": {'
+    echo '    "benchmark": "BenchmarkFig16ScaleSweep/full (churn workload, 128x8 pool, batch 256)",'
     echo "    \"cpus\": $CPUS,"
-    echo "    \"gomaxprocs\": $FIG16_GMP,"
-    BEST=""
+    printf '    "gomaxprocs": %s' "$GMP"
     for n in 1000 10000 100000; do
       WALL="$(metric_of "$FIG16_RAW" "$n-wall-ms")"
-      SPD="$(metric_of "$FIG16_RAW" "$n-lane-speedup")"
+      DEC="$(metric_of "$FIG16_RAW" "$n-decisions")"
       [ -z "$WALL" ] && continue
-      echo "    \"sharepods_$n\": {\"wall_ms_4lane\": $WALL, \"lane_speedup\": $SPD},"
-      BEST="$(awk -v a="${BEST:-0}" -v b="$SPD" 'BEGIN { printf "%s", (b + 0 > a + 0) ? b : a }')"
+      printf ',\n    "sharepods_%s": {"wall_ms": %s, "decisions": %s}' "$n" "$WALL" "$DEC"
     done
-    echo "    \"best_lane_speedup\": ${BEST:-0},"
-    echo "    \"meets_2_5x\": $(awk -v s="${BEST:-0}" 'BEGIN { print (s + 0 >= 2.5) ? "true" : "false" }'),"
-    echo "    \"cpu_bound\": $(awk -v c="$CPUS" -v g="$FIG16_GMP" 'BEGIN { print (c + 0 < g + 0) ? "true" : "false" }')"
-    echo '  },'
+    printf '\n  },\n'
   fi
   if [ -s "$FIG17_RAW" ]; then
     echo '  "fig17_recovery_sweep": {'

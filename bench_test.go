@@ -487,21 +487,17 @@ func BenchmarkFig15SchedulerThroughput(b *testing.B) {
 }
 
 // BenchmarkFig16ScaleSweep regenerates Figure 16: wall-clock time of the
-// partitioned hot path (sharded store + event lanes + parallel phase
-// windows) as the sharePod count climbs 1k → 10k → 100k, at 1 and 4 lanes.
-// Per order of magnitude it reports the 4-lane wall time and the
-// lane-speedup ratio (lane-1 wall / lane-4 wall). The virtual-side metrics
-// are verified byte-identical across lane counts inside Fig16 itself, so a
-// passing run is also the determinism witness. Speedup above 1x requires
-// GOMAXPROCS > 1 *and* spare physical cores; bench.sh records both next to
-// the numbers. The quick variant is the check.sh smoke.
+// batched scheduler's churn workload as the sharePod count climbs 1k → 10k
+// → 100k. Per size it reports the wall time and the decision count (the
+// work the wall time paid for; deterministic per size). The quick variant
+// is the check.sh smoke.
 func BenchmarkFig16ScaleSweep(b *testing.B) {
 	for _, scale := range []struct {
 		name string
 		cfg  experiments.Fig16Config
 	}{
-		{"quick", experiments.Fig16Config{Sizes: []int{500}, Lanes: []int{1, 4}, Nodes: 16}},
-		{"full", experiments.Fig16Config{Lanes: []int{1, 4}}},
+		{"quick", experiments.Fig16Config{Sizes: []int{500}, Nodes: 16}},
+		{"full", experiments.Fig16Config{}},
 	} {
 		b.Run(scale.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -512,12 +508,9 @@ func BenchmarkFig16ScaleSweep(b *testing.B) {
 				if i != 0 {
 					continue
 				}
-				// Rows come in (lane-1, lane-4) pairs per size; report the
-				// 4-lane wall and speedup for each order of magnitude.
-				for r := 0; r+1 < len(t.Rows); r += 2 {
-					size := t.Rows[r][0]
-					b.ReportMetric(cellF(b, t.Rows[r+1][2]), size+"-wall-ms")
-					b.ReportMetric(cellF(b, t.Rows[r+1][6]), size+"-lane-speedup")
+				for _, row := range t.Rows {
+					b.ReportMetric(cellF(b, row[1]), row[0]+"-wall-ms")
+					b.ReportMetric(cellF(b, row[3]), row[0]+"-decisions")
 				}
 			}
 		})
@@ -631,11 +624,11 @@ func BenchmarkFig18StrategyComparison(b *testing.B) {
 func BenchmarkFig19Attribution(b *testing.B) {
 	for _, scale := range []struct {
 		name string
-		cfg  experiments.Fig19Config
+		cfg  experiments.Fig18Config
 	}{
-		{"quick", experiments.Fig19Config{Fig18Config: experiments.Fig18Config{
-			Nodes: 1, GPUsPerNode: 4, Jobs: 16, JobDuration: 10 * time.Second}}},
-		{"full", experiments.Fig19Config{}},
+		{"quick", experiments.Fig18Config{
+			Nodes: 1, GPUsPerNode: 4, Jobs: 16, JobDuration: 10 * time.Second}},
+		{"full", experiments.Fig18Config{}},
 	} {
 		b.Run(scale.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -29,7 +29,9 @@ go test -race ./internal/sim/... ./internal/devlib/...
 # (token/mps/replica) and the frontend refactor behind it must hold under
 # the race detector with parallel test workers.
 GOMAXPROCS=4 go test -race ./internal/devlib/... ./internal/gpusim/...
-GOMAXPROCS=4 go test -race -run 'TestRunIndexed|TestFig8DeterminismGolden|TestTraceDeterminismGolden' ./internal/experiments/
+# Concurrent simulations in one process must not interfere: the trace and
+# fig19 determinism tests run five identical dumps at once via runIndexed.
+GOMAXPROCS=4 go test -race -run 'TestRunIndexed|TestFig8DeterminismGolden|TestTraceDeterminismGolden|TestFig19ConcurrentDeterminism' ./internal/experiments/
 # Labeled-family interning and the TSDB under the race detector: family
 # lookup is the one obs path exercised off the simulation goroutine. This
 # pass also covers internal/obs/attr — the critical-path attribution
@@ -49,25 +51,22 @@ GOMAXPROCS=4 go test -race ./internal/chaos/
 GOMAXPROCS=4 go test -race -run 'TestRestore|TestCheckpoint|TestTornTail|TestWatchFencing|TestCrash|TestReflector|TestResume|TestEventSinkRestart' ./internal/kube/store/ ./internal/kube/apiserver/
 # Scheduling-framework suite under the race detector on the multi-worker
 # path: engine/Algorithm-1 equivalence properties, transaction rollback,
-# batched-vs-sequential, conflict retry, gang all-or-nothing, and the
-# parallel-phase lane windows (FanOut ranking must be lane-count- and
-# GOMAXPROCS-invariant).
+# batched-vs-sequential, conflict retry and gang all-or-nothing.
 GOMAXPROCS=4 go test -race ./internal/core/schedfw/...
-# Multi-core hot path under the race detector with lanes actually running
-# concurrently: event-lane routing/merge/mailbox in the kernel, and the
-# sharded store's churn-vs-filtered-watch equivalence property.
-GOMAXPROCS=4 go test -race -run 'TestLane|TestFanOut|TestSetLanes|TestShard|TestIndex' ./internal/sim/ ./internal/kube/store/
+# The sharded store under the race detector on the multi-worker path: the
+# churn-vs-filtered-watch equivalence property and the label index.
+GOMAXPROCS=4 go test -race -run 'TestShard|TestIndex' ./internal/kube/store/
 # Smoke the kernel micro-benchmarks so a regression that only breaks bench
 # setup (not the unit tests) is caught here.
 go test ./internal/sim/ -run xxx -bench BenchmarkSimKernel -benchtime 1x
 # Smoke the scheduler-throughput bench (Figure 15) at quick scale; bench.sh
 # measures the full 10k point into BENCH.json.
 go test . -run xxx -bench 'BenchmarkFig15SchedulerThroughput/quick' -benchtime 1x
-# Smoke the scale sweep (Figure 16) at quick scale under GOMAXPROCS=4: the
-# lane-partitioned churn workload must place identically at 1 and 4 lanes
-# (Fig16 errors out on any metrics divergence); bench.sh measures the full
-# 1k/10k/100k sweep into BENCH.json.
-GOMAXPROCS=4 go test . -run xxx -bench 'BenchmarkFig16ScaleSweep/quick' -benchtime 1x
+# Smoke the scale sweep (Figure 16) at quick scale: the churn workload must
+# place every sharePod (the quick-scale placements are pinned by
+# TestFig16QuickGolden); bench.sh measures the full 1k/10k/100k sweep into
+# BENCH.json.
+go test . -run xxx -bench 'BenchmarkFig16ScaleSweep/quick' -benchtime 1x
 # Smoke the control-plane recovery sweep (Figure 17) at quick scale: one
 # restart mean, checkpointed vs checkpoint-free recovery, quiescence
 # invariants enforced per cell; bench.sh measures the full sweep into

@@ -10,8 +10,7 @@ import (
 // per-node device-library backends, DevMgr) plus the batched plugin-phased
 // scheduler. With no options the sequential compat cycle runs (single-unit
 // batches, Algorithm 1 phases in order); pass WithBatchSize /
-// WithGangTimeout / WithPlugins / WithParallelPhases to opt into the
-// framework extensions.
+// WithGangTimeout / WithPlugins to opt into the framework extensions.
 func Install(c *kube.Cluster, cfg core.Config, opts ...Option) (*core.KubeShare, error) {
 	ks, err := core.InstallBase(c, cfg)
 	if err != nil {

@@ -60,7 +60,6 @@ type options struct {
 	batchSize   int
 	gangTimeout time.Duration
 	plugins     []fwk.Plugin
-	parallel    bool
 }
 
 // Option configures the framework driver.
@@ -107,21 +106,6 @@ func WithPlugins(ps ...fwk.Plugin) Option {
 	return func(o *options) { o.plugins = ps }
 }
 
-// WithParallelPhases enables the speculative two-phase batched cycle: the
-// read-only pre-filter/filter/score work for the batch's front window is
-// fanned out across the environment's event lanes (sim.Env.SetLanes), each
-// lane ranking its hash-assigned units with a private engine against the
-// cycle-start pool; reservations then commit sequentially in age order,
-// revalidating each speculative candidate against the live transaction.
-// The outcome is a pure function of (pending set, pool) — identical at any
-// lane count and any GOMAXPROCS — but may differ from compat mode's
-// placements, because ranking scores the cycle-start pool rather than the
-// partially reserved one. Incompatible with WithDecide (the override is
-// taken sequentially).
-func WithParallelPhases() Option {
-	return func(o *options) { o.parallel = true }
-}
-
 // Scheduler is the framework driver. It owns everything the plugins must
 // not: the watch streams and incremental snapshot, the cycle clock, the
 // batch transaction, gang holds, and the bulk commit path to the API server.
@@ -133,13 +117,6 @@ type Scheduler struct {
 
 	batchSize   int
 	gangTimeout time.Duration
-
-	// Parallel-phase state: a private ranking engine per event lane plus its
-	// phase-run tally, merged into the shared counters after each window.
-	parallel    bool
-	pluginSet   []fwk.Plugin
-	laneEngines []*fwk.Engine
-	lanePhase   []map[string]int
 
 	snap   *core.Snapshot
 	wake   *sim.Queue[struct{}]
@@ -195,8 +172,6 @@ func New(env *sim.Env, srv *apiserver.Server, opts ...Option) *Scheduler {
 		engine:       fwk.NewEngine(o.plugins),
 		batchSize:    o.batchSize,
 		gangTimeout:  o.gangTimeout,
-		parallel:     o.parallel,
-		pluginSet:    o.plugins,
 		snap:         core.NewSnapshot(o.cfg.MemOvercommitFactor),
 		wake:         sim.NewQueue[struct{}](env),
 		gangs:        make(map[string]*gangState),
@@ -232,21 +207,6 @@ func (s *Scheduler) VerifySnapshot() error {
 // reflector streams the legacy scheduler ran, feeding the same snapshot.
 func (s *Scheduler) Start() {
 	s.epoch = s.srv.Epoch()
-	if s.parallel && s.laneEngines == nil {
-		// One private engine per lane (the engine's scratch score vectors are
-		// not goroutine-safe; the plugins themselves are stateless and
-		// shared). Phase-run counts accumulate lane-locally inside the window
-		// and merge after the barrier, so windows stay mutation-free.
-		lanes := s.env.Lanes()
-		s.laneEngines = make([]*fwk.Engine, lanes)
-		s.lanePhase = make([]map[string]int, lanes)
-		for i := range s.laneEngines {
-			tally := make(map[string]int, len(fwk.Phases))
-			s.lanePhase[i] = tally
-			s.laneEngines[i] = fwk.NewEngine(s.pluginSet)
-			s.laneEngines[i].SetPhaseHook(func(ph string) { tally[ph]++ })
-		}
-	}
 	for _, kind := range []string{core.KindSharePod, "Pod", core.KindVGPU, "Node"} {
 		r := s.srv.NewNamedReflector("kubeshare-sched", kind, apiserver.WatchOptions{Replay: true})
 		s.reflectors = append(s.reflectors, r)
@@ -383,12 +343,7 @@ func (s *Scheduler) runCycle(p *sim.Proc) bool {
 	txn := fwk.NewTxn(s.snap.NewPool(s.newGPUID))
 
 	var out []staged
-	var progressed int
-	if s.parallel && s.cfg.Decide == nil {
-		progressed = s.stageParallel(pending, txn, &out)
-	} else {
-		progressed = s.stageSequential(pending, txn, &out)
-	}
+	progressed := s.stage(pending, txn, &out)
 
 	if s.batchSize > 1 {
 		s.tracer.Record("kubeshare-sched", "batch",
@@ -405,9 +360,10 @@ func (s *Scheduler) runCycle(p *sim.Proc) bool {
 	return true
 }
 
-// stageSequential is the compat staging loop: decide units one at a time
-// against the live transaction, exactly the legacy pace and placements.
-func (s *Scheduler) stageSequential(pending []*core.SharePod, txn *fwk.Txn, out *[]staged) int {
+// stage decides units one at a time, in age order, against the live
+// transaction until the batch is full — with batch size 1, exactly the
+// legacy pace and placements.
+func (s *Scheduler) stage(pending []*core.SharePod, txn *fwk.Txn, out *[]staged) int {
 	progressed := 0
 	seenGang := map[string]bool{}
 	for _, cand := range pending {
@@ -439,146 +395,6 @@ func (s *Scheduler) stageSequential(pending []*core.SharePod, txn *fwk.Txn, out 
 		}
 	}
 	return progressed
-}
-
-// rankTopK is the speculative candidate list depth per unit: deep enough
-// that intra-batch contention rarely exhausts it, shallow enough that
-// ranking stays cheap.
-const rankTopK = 8
-
-// rankEntry carries one pending unit through the two-phase parallel cycle.
-type rankEntry struct {
-	sp     *core.SharePod
-	unit   fwk.Unit
-	ranked bool                // Phase A produced a candidate list
-	cands  []*core.DeviceState // best-first, against the cycle-start pool
-}
-
-// rankMsg crosses the lane mailbox: one unit's Phase A result.
-type rankMsg struct {
-	idx   int
-	cands []*core.DeviceState
-}
-
-// stageParallel is the speculative two-phase staging loop.
-//
-// Phase A (parallel): the batch window's solo units are ranked across the
-// event lanes inside a FanOut window — each lane's private engine runs
-// pre-filter/filter/score against the shared, read-only cycle-start pool
-// and mails its top-K candidate lists back to lane 0. The kernel enforces
-// the window's read-only rule (enqueue panics) and tools/detvet enforces
-// the mailbox rule statically.
-//
-// Phase B (sequential, age order): each unit walks its candidate list,
-// revalidates candidates against the live transaction with FilterOne, and
-// reserves the first survivor. An exhausted list counts one batch conflict
-// and falls back to the full sequential pipeline, as do units whose
-// pre-filter steered them (pins, rejects) and all gangs.
-//
-// Both phases are pure functions of (pending set, cycle-start pool), so the
-// staged placements are identical at any lane count and any GOMAXPROCS.
-func (s *Scheduler) stageParallel(pending []*core.SharePod, txn *fwk.Txn, out *[]staged) int {
-	// Resolve every pending name against the API server once, up front —
-	// the staging loop is read-only with respect to the server (commits
-	// happen after staging), so prefetching preserves compat semantics and
-	// keeps the parallel window below free of server traffic.
-	entries := make([]*rankEntry, 0, len(pending))
-	for _, cand := range pending {
-		sp, err := core.SharePods(s.srv).Get(cand.Name)
-		if err != nil || sp.Placed() || sp.Terminated() {
-			continue
-		}
-		entries = append(entries, &rankEntry{sp: sp, unit: unitOf(sp)})
-	}
-
-	// Phase A: rank the batch window's solo units across lanes.
-	var toRank []*rankEntry
-	for _, e := range entries {
-		if len(toRank) >= s.batchSize {
-			break
-		}
-		if gangOf(e.sp) == "" {
-			toRank = append(toRank, e)
-		}
-	}
-	if len(toRank) > 0 {
-		pool := txn.Pool()
-		s.env.FanOut(func(lane int) {
-			eng := s.laneEngines[lane]
-			for i, e := range toRank {
-				if s.env.LaneOf(e.unit.Name) != lane {
-					continue
-				}
-				if cands, seqOnly := eng.Rank(e.unit, pool, rankTopK); !seqOnly {
-					s.env.LaneSend(lane, 0, rankMsg{idx: i, cands: cands})
-				}
-			}
-		})
-		for _, m := range s.env.LaneDrain(0) {
-			msg := m.(rankMsg)
-			toRank[msg.idx].ranked = true
-			toRank[msg.idx].cands = msg.cands
-		}
-		s.flushLanePhases()
-	}
-
-	// Phase B: sequential validate-and-reserve in age order.
-	progressed := 0
-	seenGang := map[string]bool{}
-	for _, e := range entries {
-		if progressed >= s.batchSize {
-			break
-		}
-		if g := gangOf(e.sp); g != "" {
-			if seenGang[g] {
-				continue
-			}
-			seenGang[g] = true
-			progressed += s.scheduleGang(g, pending, txn, out)
-			continue
-		}
-		dec := s.decideRanked(e, txn)
-		s.decisions.Inc()
-		switch dec.Outcome {
-		case core.Assigned, core.NewDevice, core.Rejected:
-			*out = append(*out, staged{name: e.sp.Name, key: api.Key(e.sp), created: e.sp.CreationTime, dec: dec})
-			progressed++
-		default:
-			if txn.Len() > 0 {
-				s.conflicts.Inc()
-			}
-		}
-	}
-	return progressed
-}
-
-// decideRanked commits a unit's speculative ranking, falling back to the
-// full sequential pipeline when the unit was not ranked or every candidate
-// was invalidated by earlier reservations in this batch.
-func (s *Scheduler) decideRanked(e *rankEntry, txn *fwk.Txn) core.Decision {
-	if e.ranked {
-		for _, d := range e.cands {
-			if s.engine.FilterOne(e.unit, d) {
-				return s.engine.ReserveOn(e.unit, txn, d)
-			}
-		}
-		if len(e.cands) > 0 {
-			// The whole speculative list went stale: intra-batch contention.
-			s.conflicts.Inc()
-		}
-	}
-	return s.engine.Schedule(e.unit, txn)
-}
-
-// flushLanePhases merges the lanes' phase-run tallies (accumulated inside
-// the window, lane-locally) into the shared counters.
-func (s *Scheduler) flushLanePhases() {
-	for _, tally := range s.lanePhase {
-		for ph, n := range tally {
-			s.phaseRuns[ph].Add(int64(n))
-			delete(tally, ph)
-		}
-	}
 }
 
 // decideOne routes a unit through the engine, or through the legacy Decide

@@ -75,3 +75,26 @@ func TestFig8DeterminismGolden(t *testing.T) {
 	}
 	checkGolden(t, "fig8a_table.golden", first)
 }
+
+// TestFig16QuickGolden pins the scale sweep's placements at quick scale
+// (the CLI's default 500 and 2 000 sharePods on 16 nodes): makespan,
+// decisions, conflicts and the placement hash per size. The wall_ms column
+// is dropped before comparing — it is the one machine-dependent cell.
+func TestFig16QuickGolden(t *testing.T) {
+	tb, err := Fig16(Fig16Config{Sizes: []int{500, 2000}, Nodes: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wallCol = 1
+	if tb.Headers[wallCol] != "wall_ms" {
+		t.Fatalf("column %d is %q, want wall_ms", wallCol, tb.Headers[wallCol])
+	}
+	drop := func(cells []string) []string {
+		return append(append([]string(nil), cells[:wallCol]...), cells[wallCol+1:]...)
+	}
+	tb.Headers = drop(tb.Headers)
+	for i, row := range tb.Rows {
+		tb.Rows[i] = drop(row)
+	}
+	checkGolden(t, "fig16_table.golden", tb.String())
+}

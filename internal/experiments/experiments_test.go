@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"strconv"
 	"testing"
 	"time"
+
+	"kubeshare/internal/core"
 )
 
 // cell parses a table cell as float.
@@ -198,6 +201,29 @@ func TestFig11LinearAndFast(t *testing.T) {
 	// implementation must be far under that.
 	if large > 400_000 {
 		t.Fatalf("decision at 100 sharePods took %.0fµs, exceeding the paper's 400ms", large)
+	}
+}
+
+// TestFig11DecisionMatchesAlgorithm1 checks the decision Fig 11 times —
+// the framework engine over a fresh transaction, from a full rebuild and
+// from the incremental snapshot — is the one core.Schedule, the Algorithm 1
+// oracle, makes on the same state.
+func TestFig11DecisionMatchesAlgorithm1(t *testing.T) {
+	for _, n := range []int{10, 100} {
+		srv := PopulateSchedulingState(n)
+		serial := 0
+		want := core.Schedule(fig11Unit.Req, core.BuildPool(srv, func() string {
+			serial++
+			return fmt.Sprintf("fresh-%d", serial)
+		}))
+		for name, got := range map[string]core.Decision{
+			"full-rebuild": ScheduleOnce(srv),
+			"incremental":  ScheduleOnceIncremental(PopulateSnapshot(srv)),
+		} {
+			if got.Outcome != want.Outcome || got.GPUID != want.GPUID || got.NodeName != want.NodeName {
+				t.Errorf("n=%d %s: decision %+v, Algorithm 1 oracle %+v", n, name, got, want)
+			}
+		}
 	}
 }
 

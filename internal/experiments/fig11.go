@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"kubeshare/internal/core"
+	"kubeshare/internal/core/schedfw/fwk"
+	"kubeshare/internal/core/schedfw/plugins"
 	"kubeshare/internal/kube/api"
 	"kubeshare/internal/kube/apiserver"
 	"kubeshare/internal/metrics"
@@ -79,15 +81,24 @@ func PopulateSchedulingState(n int) *apiserver.Server {
 	return srv
 }
 
+// fig11Unit is the probe sharePod every timed decision places.
+var fig11Unit = fwk.Unit{Name: "fig11-probe", Req: core.Request{Util: 0.3, Mem: 0.2}}
+
+// decideOnce runs one decision through the scheduling framework's engine
+// with the default Algorithm 1 plugin set — the code path that places pods
+// in the running cluster.
+func decideOnce(pool *core.Pool) core.Decision {
+	return fwk.NewEngine(plugins.Default()).Schedule(fig11Unit, fwk.NewTxn(pool))
+}
+
 // ScheduleOnce performs one full scheduling decision (pool build +
 // Algorithm 1) against the populated state — the unit Fig 11 times.
 func ScheduleOnce(srv *apiserver.Server) core.Decision {
 	serial := 0
-	pool := core.BuildPool(srv, func() string {
+	return decideOnce(core.BuildPool(srv, func() string {
 		serial++
 		return fmt.Sprintf("fresh-%d", serial)
-	})
-	return core.Schedule(core.Request{Util: 0.3, Mem: 0.2}, pool)
+	}))
 }
 
 // PopulateSnapshot folds the server's current state into an incremental
@@ -114,11 +125,10 @@ func PopulateSnapshot(srv *apiserver.Server) *core.Snapshot {
 // incremental counterpart of ScheduleOnce.
 func ScheduleOnceIncremental(snap *core.Snapshot) core.Decision {
 	serial := 0
-	pool := snap.NewPool(func() string {
+	return decideOnce(snap.NewPool(func() string {
 		serial++
 		return fmt.Sprintf("fresh-%d", serial)
-	})
-	return core.Schedule(core.Request{Util: 0.3, Mem: 0.2}, pool)
+	}))
 }
 
 // Fig11 sweeps the SharePod count and reports mean decision time. The

@@ -13,30 +13,24 @@ import (
 	"kubeshare/internal/workload"
 )
 
-// Fig16Config drives the scale sweep of the partitioned hot path (a
-// framework extension with no paper counterpart): the batched parallel-phase
-// scheduler working through 1k → 10k → 100k sharePods on a bounded device
-// pool, swept over the event-lane count.
+// Fig16Config drives the scheduler scale sweep (a framework extension with
+// no paper counterpart): the batched scheduler working through 1k → 10k →
+// 100k sharePods on a bounded device pool.
 //
 // Unlike Figure 15's one-shot backlog, the workload here churns: arrivals
 // are paced in waves matched to the pool's drain rate, and a completion
 // sweeper retires placed sharePods after a fixed service time, so the
 // device pool stays at cluster scale while the sharePod count grows by two
-// orders of magnitude — the sweep measures the hot path (ranking over the
-// live pool, store traffic, watch fan-out), not an ever-growing pool.
+// orders of magnitude — the sweep measures the hot path (filtering and
+// scoring over the live pool, store traffic, watch fan-out), not an
+// ever-growing pool.
 //
-// Each (size, lanes) point reports wall-clock time and the lane-1 speedup
-// ratio. The virtual-side quantities — placements, decisions, makespan, and
-// a hash over every placement tuple — are byte-identical across lane counts
-// by construction, and the sweep errors out if any lane count disagrees:
-// the lane partition may only distribute the computation, never change it.
-// Wall-clock speedup requires real cores; with fewer CPUs than lanes the
-// extra lanes just timeslice.
+// Each size reports its wall-clock time next to the virtual-side quantities
+// — makespan, decisions, conflicts, and a hash over every placement tuple —
+// which are deterministic per size and pinned by a golden at quick scale.
 type Fig16Config struct {
 	// Sizes are the sharePod counts swept (defaults 1k, 10k, 100k).
 	Sizes []int
-	// Lanes are the event-lane counts swept at each size.
-	Lanes []int
 	// Batch is the cycle budget of the batched driver.
 	Batch int
 	// Nodes and GPUsPerNode bound the device pool.
@@ -52,9 +46,6 @@ type Fig16Config struct {
 func (c Fig16Config) withDefaults() Fig16Config {
 	if len(c.Sizes) == 0 {
 		c.Sizes = []int{1000, 10000, 100000}
-	}
-	if len(c.Lanes) == 0 {
-		c.Lanes = []int{1, 2, 4, 8}
 	}
 	if c.Batch == 0 {
 		c.Batch = 256
@@ -75,7 +66,7 @@ func (c Fig16Config) withDefaults() Fig16Config {
 }
 
 // fig16Result is one run's outcome: the wall-side measurement plus the
-// virtual-side quantities that must agree across lane counts.
+// deterministic virtual-side quantities.
 type fig16Result struct {
 	wall      time.Duration
 	virtual   time.Duration
@@ -85,16 +76,9 @@ type fig16Result struct {
 	hash      uint64
 }
 
-// metricsKey is the virtual-side identity compared across lane counts.
-func (r fig16Result) metricsKey() string {
-	return fmt.Sprintf("virtual=%v placed=%d decisions=%d hash=%016x",
-		r.virtual, r.placed, r.decisions, r.hash)
-}
-
-// fig16Run schedules n sharePods to completion with the given lane count.
-func fig16Run(n, lanes int, cfg Fig16Config) fig16Result {
+// fig16Run schedules n sharePods to completion.
+func fig16Run(n int, cfg Fig16Config) fig16Result {
 	env := sim.NewEnv()
-	env.SetLanes(lanes)
 	srv := apiserver.New(env)
 	for i := 0; i < cfg.Nodes; i++ {
 		node := &api.Node{
@@ -169,8 +153,7 @@ func fig16Run(n, lanes int, cfg Fig16Config) fig16Result {
 		}
 	})
 
-	sched := schedfw.New(env, srv,
-		schedfw.WithBatchSize(cfg.Batch), schedfw.WithParallelPhases())
+	sched := schedfw.New(env, srv, schedfw.WithBatchSize(cfg.Batch))
 	start := cfg.Now()
 	sched.Start()
 	env.Run()
@@ -198,33 +181,21 @@ func fig16Run(n, lanes int, cfg Fig16Config) fig16Result {
 	})
 	res.hash = h
 	if res.placed != n {
-		panic(fmt.Sprintf("fig16: %d/%d sharePods placed (lanes=%d)", res.placed, n, lanes))
+		panic(fmt.Sprintf("fig16: %d/%d sharePods placed", res.placed, n))
 	}
 	return res
 }
 
-// Fig16 sweeps sharePod count × lane count and reports wall-clock scaling.
-// It fails if any lane count's virtual-side metrics diverge from lane 1 —
-// the determinism contract of the lane partition.
+// Fig16 sweeps the sharePod count and reports wall-clock scaling next to
+// the deterministic virtual-side outcome of each size.
 func Fig16(cfg Fig16Config) (*metrics.Table, error) {
 	cfg = cfg.withDefaults()
-	tb := metrics.NewTable("Figure 16: hot-path scaling vs sharePod count and lane count",
-		"sharepods", "lanes", "wall_ms", "virtual_makespan_s", "decisions", "conflicts", "speedup_vs_1lane", "placements_hash")
+	tb := metrics.NewTable("Figure 16: scheduler hot-path scaling vs sharePod count",
+		"sharepods", "wall_ms", "virtual_makespan_s", "decisions", "conflicts", "placements_hash")
 	for _, n := range cfg.Sizes {
-		var base fig16Result
-		for i, lanes := range cfg.Lanes {
-			r := fig16Run(n, lanes, cfg)
-			if i == 0 {
-				base = r
-			} else if r.metricsKey() != base.metricsKey() {
-				return nil, fmt.Errorf("fig16: lanes=%d diverged at n=%d: %s != %s",
-					lanes, n, r.metricsKey(), base.metricsKey())
-			}
-			speedup := float64(base.wall) / float64(r.wall)
-			tb.AddRow(n, lanes, r.wall.Milliseconds(),
-				fmt.Sprintf("%.1f", r.virtual.Seconds()), r.decisions, r.conflicts,
-				fmt.Sprintf("%.2f", speedup), fmt.Sprintf("%016x", r.hash))
-		}
+		r := fig16Run(n, cfg)
+		tb.AddRow(n, r.wall.Milliseconds(), fmt.Sprintf("%.1f", r.virtual.Seconds()),
+			r.decisions, r.conflicts, fmt.Sprintf("%016x", r.hash))
 	}
 	return tb, nil
 }

@@ -80,11 +80,6 @@ type SharingConfig struct {
 	// collector, fairness auditor, SLO alert engine) sampling at this
 	// interval; the result's Telemetry field carries it.
 	Telemetry time.Duration
-	// Lanes, when above one, partitions the simulation into that many event
-	// lanes (conservative lock-step merge; the merged event order — and so
-	// every trace, metric and placement — is byte-identical to the
-	// single-lane run).
-	Lanes int
 	// RestartAPIServerAt, when nonzero, enables store durability (WAL +
 	// checkpoints) and crash/warm-recovers the apiserver once at this
 	// virtual time — the mid-run control-plane restart whose markers and
@@ -97,15 +92,6 @@ type SharingConfig struct {
 	// the kubeshare_obs_open_chains gauge before the snapshot is taken.
 	// Implies ExportTelemetry.
 	Attribution bool
-	// ParallelPhases additionally drives the framework scheduler with
-	// parallel phase windows: prefilter/filter/score fan out across the
-	// lanes against the cycle-start snapshot. Placements stay deterministic
-	// at every lane count, but the phase counters follow the parallel
-	// cycle's accounting (speculative rankings that go stale re-run the
-	// front phases), so telemetry is comparable across lane counts only
-	// within this mode, not against the sequential cycle. Ignored for the
-	// Kubernetes baseline, which has no framework scheduler to fan out.
-	ParallelPhases bool
 }
 
 // SharingResult is the outcome of one run.
@@ -141,13 +127,6 @@ type SharingResult struct {
 // returns its throughput and utilization profile.
 func RunSharing(cfg SharingConfig) (SharingResult, error) {
 	env := sim.NewEnv()
-	var schedOpts []schedfw.Option
-	if cfg.Lanes > 1 {
-		env.SetLanes(cfg.Lanes)
-	}
-	if cfg.ParallelPhases {
-		schedOpts = append(schedOpts, schedfw.WithParallelPhases())
-	}
 	c, err := newClusterObs(env, cfg.Nodes, cfg.GPUsPerNode, cfg.DisableObs)
 	if err != nil {
 		return SharingResult{}, err
@@ -170,11 +149,11 @@ func RunSharing(cfg SharingConfig) (SharingResult, error) {
 	}
 	switch cfg.System {
 	case KubeShare:
-		if _, err := schedfw.Install(c, cfg.Devlib, schedOpts...); err != nil {
+		if _, err := schedfw.Install(c, cfg.Devlib); err != nil {
 			return SharingResult{}, err
 		}
 	case Extender:
-		if _, _, err := schedfw.InstallExtender(c, cfg.Devlib, schedOpts...); err != nil {
+		if _, _, err := schedfw.InstallExtender(c, cfg.Devlib); err != nil {
 			return SharingResult{}, err
 		}
 	}

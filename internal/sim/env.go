@@ -14,9 +14,8 @@
 // The kernel is intentionally free of wall-clock dependencies; virtual time
 // is a time.Duration offset from the simulation epoch.
 //
-// The event queue is partitioned into lanes (see lane.go); every lane is
-// split three ways, all holding pointer-free 24-byte entries so queue
-// maintenance never triggers write barriers:
+// The event queue is split three ways, all holding pointer-free 24-byte
+// entries so queue maintenance never triggers write barriers:
 //
 //   - a FIFO ring for events scheduled at the current instant — the dominant
 //     case: every proc wakeup, Queue.Put handoff and Event.Trigger;
@@ -26,8 +25,7 @@
 //
 // Entries reference pooled item slots carrying the callback/proc pointers
 // and a generation counter (for safe Timer cancellation), so steady-state
-// scheduling allocates nothing. The slot's high bits name the owning lane,
-// so a Timer handle can always find its slab.
+// scheduling allocates nothing.
 package sim
 
 import (
@@ -43,7 +41,7 @@ import (
 type entry struct {
 	t    time.Duration
 	seq  uint64 // FIFO tie-break among events with equal t
-	slot uint32 // lane (high bits) + index into that lane's item slab
+	slot uint32 // index into the item slab
 }
 
 // item is a pooled event payload: what to run (exactly one of proc/fn is
@@ -58,10 +56,8 @@ type item struct {
 	inHeap    bool // the entry sits in the heap (not ring or head register)
 }
 
-// entryLess orders events by (instant, seq). seq is globally unique across
-// lanes, so this is a total order: the k-way lane merge pops events in
-// exactly the order a single monolithic queue would, which is what keeps
-// traces byte-identical at every lane count.
+// entryLess orders events by (instant, seq). seq is unique per scheduled
+// event, so this is a total order and equal-instant events fire FIFO.
 func entryLess(a, b *entry) bool {
 	if a.t != b.t {
 		return a.t < b.t
@@ -69,29 +65,29 @@ func entryLess(a, b *entry) bool {
 	return a.seq < b.seq
 }
 
-// Env is a simulation environment: a virtual clock plus a lane-partitioned
-// event queue. An Env and everything attached to it must be driven from a
-// single goroutine (the one calling Run/RunUntil/Step); the kernel provides
-// the interleaving, not the Go scheduler. The only concurrency the kernel
-// itself offers is the FanOut window (lane.go), a barrier-bracketed
-// read-only region between events.
+// Env is a simulation environment: a virtual clock plus an event queue. An
+// Env and everything attached to it must be driven from a single goroutine
+// (the one calling Run/RunUntil/Step); the kernel provides the
+// interleaving, not the Go scheduler.
 type Env struct {
 	now time.Duration
-	// lanes are the partitioned event queues; always at least one. Lane 0
-	// is the default lane; SetLanes widens the partition before first use.
-	lanes []*laneQ
-	// curLane is the lane of the event currently executing (or 0 between
-	// events). New events with no proc affinity are scheduled on it, so an
-	// event's follow-ups stay in its lane.
-	curLane int
-	// inWindow is true inside a FanOut parallel window. enqueue panics
-	// while it is set: lane-local code must stay read-only and communicate
-	// through the cross-lane mailbox (LaneSend) until the barrier.
-	inWindow      bool
-	pending       int // live (non-cancelled) scheduled events
-	daemonPending int // the subset of pending that wakes daemon procs
+	// ring holds events scheduled for the current instant, in FIFO order.
+	// Invariant: every ring entry has t == now (the ring drains before the
+	// clock advances), and ring order agrees with seq order.
+	ring fifo[entry]
+	// head caches one future event — typically the earliest — so the
+	// schedule-one/fire-one pattern bypasses the heap. Correctness does not
+	// depend on head being the minimum: pops take the minimum of all fronts.
+	head      entry
+	headValid bool
+	// heap is a 4-ary min-heap of future events keyed by (t, seq).
+	heap          []entry
+	heapCancelled int      // cancelled entries still buried in the heap
+	items         []item   // slot-addressed event payloads
+	freeSlots     []uint32 // recycled item slots
+	pending       int      // live (non-cancelled) scheduled events
+	daemonPending int      // the subset of pending that wakes daemon procs
 	seq           uint64
-	mail          [][][]any // [from][to] cross-lane mailboxes, FanOut-only
 	freeWaiters   []*waiter
 	current       *Proc // proc currently executing, nil when the scheduler runs
 	live          int   // procs that have started and not yet finished
@@ -100,10 +96,8 @@ type Env struct {
 	tracer        func(t time.Duration, format string, args ...any)
 }
 
-// NewEnv returns an empty single-lane environment with the clock at zero.
-func NewEnv() *Env {
-	return &Env{lanes: []*laneQ{{}}}
-}
+// NewEnv returns an empty environment with the clock at zero.
+func NewEnv() *Env { return &Env{} }
 
 // Now returns the current virtual time as an offset from the simulation epoch.
 func (env *Env) Now() time.Duration { return env.now }
@@ -120,28 +114,14 @@ func (env *Env) tracef(format string, args ...any) {
 	}
 }
 
-// itemAt resolves a slot handle to its payload in the owning lane's slab.
-func (env *Env) itemAt(slot uint32) *item {
-	return &env.lanes[slot>>laneShift].items[slot&slotIdxMask]
-}
-
 // scheduling --------------------------------------------------------------
 
 // enqueue schedules an event at absolute time t (clamped to now) and returns
-// its slot and generation. The event lands in the target proc's lane (or the
-// current lane for callbacks); entries at the current instant go to the
-// lane's FIFO ring; future entries go to its head register or heap.
+// its slot and generation. Entries at the current instant go to the FIFO
+// ring; future entries go to the head register or the heap.
 func (env *Env) enqueue(t time.Duration, proc *Proc, fn func()) (uint32, uint32) {
-	if env.inWindow {
-		panic("sim: event scheduled inside a FanOut window; lane code must be read-only (route results through LaneSend)")
-	}
-	li := env.curLane
-	if proc != nil {
-		li = proc.lane
-	}
-	ln := env.lanes[li]
-	slot := ln.newSlot(li)
-	it := &ln.items[slot&slotIdxMask]
+	slot := env.newSlot()
+	it := &env.items[slot]
 	// Payload pointers are cleared here, on reuse, rather than in recycle:
 	// when a slot is reused for the same kind of event (the dominant pattern —
 	// timer after timer, wakeup after wakeup) the overwrite below is the only
@@ -171,35 +151,34 @@ func (env *Env) enqueue(t time.Duration, proc *Proc, fn func()) (uint32, uint32)
 	e := entry{t: t, seq: env.seq, slot: slot}
 	switch {
 	case t == env.now:
-		ln.ring.push(e)
-	case !ln.headValid:
-		ln.head = e
-		ln.headValid = true
-	case entryLess(&e, &ln.head):
-		ln.demoteHead()
-		ln.head = e
+		env.ring.push(e)
+	case !env.headValid:
+		env.head = e
+		env.headValid = true
+	case entryLess(&e, &env.head):
+		env.demoteHead()
+		env.head = e
 	default:
 		it.inHeap = true
-		ln.heapPush(e)
+		env.heapPush(e)
 	}
 	return slot, gen
 }
 
 // cancelItem lazily cancels a scheduled entry's payload. Ring and head
 // entries are skipped at pop time; heap entries are counted and compacted
-// away once they outnumber the live ones in their lane.
+// away once they outnumber the live ones.
 func (env *Env) cancelItem(slot uint32) {
-	ln := env.lanes[slot>>laneShift]
-	it := &ln.items[slot&slotIdxMask]
+	it := &env.items[slot]
 	it.cancelled = true
 	env.pending--
 	if it.proc != nil && it.proc.daemon {
 		env.daemonPending--
 	}
 	if it.inHeap {
-		ln.heapCancelled++
-		if ln.heapCancelled >= 32 && ln.heapCancelled*2 > len(ln.heap) {
-			ln.compact()
+		env.heapCancelled++
+		if env.heapCancelled >= 32 && env.heapCancelled*2 > len(env.heap) {
+			env.compact()
 		}
 	}
 }
@@ -236,7 +215,7 @@ func (tm Timer) Stop() bool {
 	if tm.env == nil {
 		return false
 	}
-	it := tm.env.itemAt(tm.slot)
+	it := &tm.env.items[tm.slot]
 	if it.gen != tm.gen || it.cancelled {
 		return false
 	}
@@ -250,7 +229,7 @@ func (tm Timer) Active() bool {
 	if tm.env == nil {
 		return false
 	}
-	it := tm.env.itemAt(tm.slot)
+	it := &tm.env.items[tm.slot]
 	return it.gen == tm.gen && !it.cancelled
 }
 
@@ -263,34 +242,42 @@ const (
 	srcHeap
 )
 
-// front locates the earliest pending entry as the minimum over every lane's
-// ring, head register and heap fronts.
-func (env *Env) front() (lane, src int, e *entry) {
-	for li, ln := range env.lanes {
-		if ln.ring.n > 0 {
-			if f := ln.ring.peek(); src == srcNone || entryLess(f, e) {
-				lane, src, e = li, srcRing, f
-			}
-		}
-		if ln.headValid && (src == srcNone || entryLess(&ln.head, e)) {
-			lane, src, e = li, srcHead, &ln.head
-		}
-		if len(ln.heap) > 0 && (src == srcNone || entryLess(&ln.heap[0], e)) {
-			lane, src, e = li, srcHeap, &ln.heap[0]
-		}
+// front locates the earliest pending entry as the minimum over the ring,
+// head register and heap fronts.
+func (env *Env) front() (src int, e *entry) {
+	if env.ring.n > 0 {
+		src, e = srcRing, env.ring.peek()
 	}
-	return lane, src, e
+	if env.headValid && (src == srcNone || entryLess(&env.head, e)) {
+		src, e = srcHead, &env.head
+	}
+	if len(env.heap) > 0 && (src == srcNone || entryLess(&env.heap[0], e)) {
+		src, e = srcHeap, &env.heap[0]
+	}
+	return src, e
+}
+
+// popFront removes the front entry found by front from its source.
+func (env *Env) popFront(src int) {
+	switch src {
+	case srcRing:
+		env.ring.popRaw()
+	case srcHead:
+		env.headValid = false
+	default:
+		env.heapPop()
+	}
 }
 
 // Go spawns fn as a new simulation process that begins executing at the
 // current virtual time (after the caller yields). The name appears in traces
-// and String output. The proc joins the current lane; see GoOnLane.
+// and String output.
 //
 // Procs are coroutines (iter.Pull), not plain goroutines: park/dispatch is a
 // direct coroutine switch with no Go-scheduler round trip, which is the
 // difference between ~100ns and ~650ns per virtual context switch.
 func (env *Env) Go(name string, fn func(p *Proc)) *Proc {
-	return env.spawn(name, fn, false, env.curLane)
+	return env.spawn(name, fn, false)
 }
 
 // GoDaemon is Go for periodic background loops (heartbeats, lifecycle
@@ -299,17 +286,16 @@ func (env *Env) Go(name string, fn func(p *Proc)) *Proc {
 // counts as quiescent. Daemons parked on queues or events behave exactly
 // like normal procs — the flag only affects scheduled wakeups (Sleep).
 func (env *Env) GoDaemon(name string, fn func(p *Proc)) *Proc {
-	return env.spawn(name, fn, true, env.curLane)
+	return env.spawn(name, fn, true)
 }
 
-func (env *Env) spawn(name string, fn func(p *Proc), daemon bool, lane int) *Proc {
+func (env *Env) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 	env.nextPID++
 	p := &Proc{
 		env:    env,
 		id:     env.nextPID,
 		name:   name,
 		daemon: daemon,
-		lane:   lane,
 		doneEv: NewEvent(env),
 	}
 	env.live++
@@ -347,51 +333,28 @@ func (env *Env) dispatch(p *Proc) {
 }
 
 // Step executes the single earliest pending event — the (instant, seq)
-// minimum across every lane. It reports whether an event was executed
-// (false means the queue is empty).
+// minimum. It reports whether an event was executed (false means the queue
+// is empty).
 func (env *Env) Step() bool {
 	for {
-		// Select the minimum over each lane's ring, head register and heap
-		// fronts, then remove it from its source.
-		var e entry
-		src := srcNone
-		laneIdx := 0
-		for li, ln := range env.lanes {
-			if ln.ring.n > 0 {
-				if f := ln.ring.peek(); src == srcNone || entryLess(f, &e) {
-					e, src, laneIdx = *f, srcRing, li
-				}
-			}
-			if ln.headValid && (src == srcNone || entryLess(&ln.head, &e)) {
-				e, src, laneIdx = ln.head, srcHead, li
-			}
-			if len(ln.heap) > 0 && (src == srcNone || entryLess(&ln.heap[0], &e)) {
-				e, src, laneIdx = ln.heap[0], srcHeap, li
-			}
-		}
-		ln := env.lanes[laneIdx]
-		switch src {
-		case srcNone:
+		src, f := env.front()
+		if src == srcNone {
 			return false
-		case srcRing:
-			ln.ring.popRaw()
-		case srcHead:
-			ln.headValid = false
-		default:
-			ln.heapPop()
 		}
-		it := &ln.items[e.slot&slotIdxMask]
+		e := *f
+		env.popFront(src)
+		it := &env.items[e.slot]
 		if it.cancelled {
 			if it.inHeap {
-				ln.heapCancelled--
+				env.heapCancelled--
 			}
-			ln.recycle(e.slot)
+			env.recycle(e.slot)
 			continue
 		}
 		proc, fn := it.proc, it.fn
 		// Recycle before running, so a Timer queried from inside its own
 		// callback reports inactive.
-		ln.recycle(e.slot)
+		env.recycle(e.slot)
 		env.pending--
 		if proc != nil && proc.daemon {
 			env.daemonPending--
@@ -399,7 +362,6 @@ func (env *Env) Step() bool {
 		if e.t > env.now {
 			env.now = e.t
 		}
-		env.curLane = laneIdx
 		if proc != nil {
 			env.dispatch(proc)
 		} else {
@@ -439,20 +401,20 @@ func (env *Env) RunUntil(t time.Duration) {
 // fronts on the way, or a value past any horizon when nothing is pending.
 func (env *Env) peekTime() time.Duration {
 	for {
-		lane, src, e := env.front()
+		src, e := env.front()
 		if src == srcNone {
 			return 1<<63 - 1
 		}
-		ln := env.lanes[lane]
-		it := &ln.items[e.slot&slotIdxMask]
+		slot := e.slot
+		it := &env.items[slot]
 		if !it.cancelled {
 			return e.t
 		}
-		popped := ln.popFrom(src)
+		env.popFront(src)
 		if it.inHeap {
-			ln.heapCancelled--
+			env.heapCancelled--
 		}
-		ln.recycle(popped.slot)
+		env.recycle(slot)
 	}
 }
 
@@ -466,22 +428,20 @@ func (env *Env) Live() int { return env.live }
 // stuck simulations.
 func (env *Env) Snapshot() []string {
 	var out []string
-	for _, ln := range env.lanes {
-		add := func(e *entry) {
-			if ln.items[e.slot&slotIdxMask].cancelled {
-				return
-			}
-			out = append(out, fmt.Sprintf("t=%v seq=%d", e.t, e.seq))
+	add := func(e *entry) {
+		if env.items[e.slot].cancelled {
+			return
 		}
-		for i := 0; i < ln.ring.n; i++ {
-			add(ln.ring.at(i))
-		}
-		if ln.headValid {
-			add(&ln.head)
-		}
-		for i := range ln.heap {
-			add(&ln.heap[i])
-		}
+		out = append(out, fmt.Sprintf("t=%v seq=%d", e.t, e.seq))
+	}
+	for i := 0; i < env.ring.n; i++ {
+		add(env.ring.at(i))
+	}
+	if env.headValid {
+		add(&env.head)
+	}
+	for i := range env.heap {
+		add(&env.heap[i])
 	}
 	sort.Strings(out)
 	return out

@@ -17,18 +17,9 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files from the cur
 // and returns the full trace. The recorded golden was produced by the
 // pre-optimization kernel (container/heap + slice shifts), so matching it
 // proves the rewritten kernel preserves event ordering exactly.
-//
-// The scenario is lane-parametric: procs are spread across `lanes` event
-// lanes by name hash, so the same golden also locks the lane merge — the
-// (instant, seq) k-way pop must reproduce the monolithic queue's order
-// byte-for-byte at every lane count.
-func goldenScenario(lanes int) string {
+func goldenScenario() string {
 	var b strings.Builder
 	env := NewEnv()
-	env.SetLanes(lanes)
-	spawn := func(name string, fn func(p *Proc)) *Proc {
-		return env.GoOnLane(env.LaneOf(name), name, fn)
-	}
 	env.SetTracer(func(at time.Duration, format string, args ...any) {
 		fmt.Fprintf(&b, "%v "+format+"\n", append([]any{at}, args...)...)
 	})
@@ -45,7 +36,7 @@ func goldenScenario(lanes int) string {
 
 	for i := 0; i < 3; i++ {
 		i := i
-		spawn(fmt.Sprintf("producer-%d", i), func(p *Proc) {
+		env.Go(fmt.Sprintf("producer-%d", i), func(p *Proc) {
 			for j := 0; j < 4; j++ {
 				p.Sleep(time.Duration(i+1) * time.Millisecond)
 				q.Put(i*10 + j)
@@ -53,14 +44,14 @@ func goldenScenario(lanes int) string {
 			}
 		})
 	}
-	spawn("consumer", func(p *Proc) {
+	env.Go("consumer", func(p *Proc) {
 		for k := 0; k < 12; k++ {
 			v, ok := q.Get(p)
 			p.Tracef("got %d ok=%v", v, ok)
 		}
 		done.Trigger("all-consumed")
 	})
-	spawn("timeout-getter", func(p *Proc) {
+	env.Go("timeout-getter", func(p *Proc) {
 		for {
 			v, ok := q.GetTimeout(p, 500*time.Microsecond)
 			p.Tracef("timeout-get %d ok=%v", v, ok)
@@ -72,7 +63,7 @@ func goldenScenario(lanes int) string {
 	})
 	for _, name := range []string{"worker-a", "worker-b", "worker-c"} {
 		name := name
-		spawn(name, func(p *Proc) {
+		env.Go(name, func(p *Proc) {
 			res.Acquire(p, 1)
 			p.Tracef("acquired")
 			p.Sleep(4 * time.Millisecond)
@@ -80,15 +71,15 @@ func goldenScenario(lanes int) string {
 			p.Tracef("released")
 		})
 	}
-	victim := spawn("victim", func(p *Proc) {
+	victim := env.Go("victim", func(p *Proc) {
 		p.Sleep(time.Hour)
 	})
-	spawn("killer", func(p *Proc) {
+	env.Go("killer", func(p *Proc) {
 		p.Sleep(6 * time.Millisecond)
 		victim.Kill(nil)
 		p.Tracef("killed victim")
 	})
-	spawn("waiter", func(p *Proc) {
+	env.Go("waiter", func(p *Proc) {
 		v, ok := p.WaitTimeout(done, 2*time.Millisecond)
 		p.Tracef("wait-1 %v %v", v, ok)
 		v = p.Wait(done)
@@ -100,11 +91,9 @@ func goldenScenario(lanes int) string {
 }
 
 // TestKernelGoldenTrace locks the event ordering of the kernel against the
-// trace recorded from the pre-optimization implementation — at every lane
-// count. The golden is recorded once (single lane); lane counts 2, 4 and 8
-// must reproduce it byte-for-byte, proving the lane merge is order-neutral.
+// trace recorded from the pre-optimization implementation.
 func TestKernelGoldenTrace(t *testing.T) {
-	got := goldenScenario(1)
+	got := goldenScenario()
 	path := filepath.Join("testdata", "kernel_trace.golden")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -122,12 +111,7 @@ func TestKernelGoldenTrace(t *testing.T) {
 		t.Fatalf("kernel trace diverged from the recorded golden.\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 	// And the scenario itself must be deterministic run-to-run.
-	if again := goldenScenario(1); again != got {
+	if again := goldenScenario(); again != got {
 		t.Fatalf("same-process rerun diverged:\n--- first ---\n%s\n--- second ---\n%s", got, again)
-	}
-	for _, lanes := range []int{2, 4, 8} {
-		if lt := goldenScenario(lanes); lt != got {
-			t.Fatalf("lanes=%d trace diverged from single-lane golden.\n--- lanes=%d ---\n%s\n--- lanes=1 ---\n%s", lanes, lanes, lt, got)
-		}
 	}
 }

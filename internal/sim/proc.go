@@ -35,7 +35,6 @@ type Proc struct {
 	finished bool
 	killed   bool
 	daemon   bool
-	lane     int // event lane owning this proc's wakeups and timers
 	killErr  error
 	doneEv   *Event
 	// pending tracks scheduled items that would wake this proc from its
@@ -143,7 +142,7 @@ func (p *Proc) Kill(reason error) {
 		panic("sim: proc cannot Kill itself; return from its body instead")
 	}
 	for _, pt := range p.pending {
-		it := p.env.itemAt(pt.slot)
+		it := &p.env.items[pt.slot]
 		if it.gen == pt.gen && !it.cancelled {
 			p.env.cancelItem(pt.slot)
 		}

@@ -102,6 +102,32 @@ func TestTimerStop(t *testing.T) {
 	}
 }
 
+// TestTimerActiveAndStopFromProc checks a timer's handle from inside a
+// running proc after the clock has moved: Active tracks the pending state,
+// Stop cancels it, and the stopped callback never fires.
+func TestTimerActiveAndStopFromProc(t *testing.T) {
+	env := NewEnv()
+	fired := false
+	env.Go("owner", func(p *Proc) {
+		tm := env.After(5*time.Millisecond, func() { fired = true })
+		if !tm.Active() {
+			t.Error("timer inactive after creation")
+		}
+		p.Sleep(time.Millisecond)
+		if !tm.Stop() {
+			t.Error("Stop returned false for pending timer")
+		}
+		if tm.Active() {
+			t.Error("timer active after Stop")
+		}
+		p.Sleep(10 * time.Millisecond)
+	})
+	env.Run()
+	if fired {
+		t.Fatal("stopped timer fired")
+	}
+}
+
 func TestRunUntil(t *testing.T) {
 	env := NewEnv()
 	var fired []time.Duration

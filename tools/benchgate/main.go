@@ -54,8 +54,8 @@ func f(v float64) *float64 { return &v }
 var rules = []rule{
 	// Batched-cycle speedup is a virtual-clock ratio; history is constant.
 	{path: "fig15_scheduler_throughput.batched_speedup", higherBetter: true, relTol: 0.10},
-	// Lane speedup is wall-clock and machine-sensitive.
-	{path: "fig16_scale_sweep.best_lane_speedup", higherBetter: true, relTol: 0.25},
+	// Scale-sweep wall time is machine-sensitive, hence the loose tolerance.
+	{path: "fig16_scale.sharepods_10000.wall_ms", higherBetter: false, relTol: 0.25},
 	// Modeled outage is virtual-clock.
 	{path: "fig17_recovery_sweep.worst_nockpt_outage_ms", higherBetter: false, relTol: 0.10},
 	// Strategy throughputs are virtual-clock from identical seeds.

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -50,6 +51,31 @@ func TestLowerIsBetterRegressionFails(t *testing.T) {
 	}
 	if bad != 0 {
 		t.Fatalf("a 5%% rise is within the 10%% tolerance, got %d violations:\n%s", bad, out.String())
+	}
+}
+
+// TestScaleSweepWallRegressionFails: the fig16 10k-sharePod wall time is
+// lower-is-better with a 25% tolerance; a 30% slowdown must trip the gate
+// and a 20% one must not.
+func TestScaleSweepWallRegressionFails(t *testing.T) {
+	for _, tc := range []struct {
+		newWall float64
+		want    int
+	}{{6500, 1}, {6000, 0}} {
+		var out strings.Builder
+		bad, err := gate([]byte(fmt.Sprintf(`{"records": [
+			{"commit": "aaaaaaa", "fig16_scale": {"sharepods_10000": {"wall_ms": 5000}}},
+			{"commit": "bbbbbbb", "fig16_scale": {"sharepods_10000": {"wall_ms": %g}}}
+		]}`, tc.newWall)), &out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bad != tc.want {
+			t.Fatalf("wall 5000 -> %g ms: got %d violations, want %d:\n%s", tc.newWall, bad, tc.want, out.String())
+		}
+		if tc.want > 0 && !strings.Contains(out.String(), "fig16_scale.sharepods_10000.wall_ms") {
+			t.Errorf("violation message missing the metric path:\n%s", out.String())
+		}
 	}
 }
 

@@ -12,8 +12,8 @@
 //
 // Records are opaque to this tool beyond being valid JSON objects with one
 // exception: every benchmark section must say what cpu budget it ran under.
-// Wall-clock numbers without cpus/gomaxprocs are uninterpretable (a lane
-// sweep on one core timeslices instead of parallelizing), so an incoming
+// Wall-clock numbers without cpus/gomaxprocs are uninterpretable (the same
+// run is several times slower on a smaller cpu budget), so an incoming
 // record is rejected unless each object-valued section — each entry of
 // "benchmarks", and every other top-level object section — carries numeric
 // "cpus" and "gomaxprocs" fields. Records already in the log are not

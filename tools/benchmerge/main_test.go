@@ -15,7 +15,7 @@ const goodRecord = `{
   "benchmarks": {
     "BenchmarkTimerChurn": {"cpus": 4, "gomaxprocs": 4, "ns_op": 123}
   },
-  "fig16_scale_sweep": {"cpus": 4, "gomaxprocs": 4, "best_lane_speedup": 2.6}
+  "fig16_scale": {"cpus": 4, "gomaxprocs": 4, "sharepods_10000": {"wall_ms": 4660, "decisions": 54400}}
 }`
 
 func TestAppendValidRecord(t *testing.T) {

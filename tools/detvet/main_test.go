@@ -17,64 +17,29 @@ func vet(t *testing.T, src string) int {
 	return checkFile(path)
 }
 
-func TestLaneguardFlagsMutationsInFanOutWindow(t *testing.T) {
+func TestWallClockAndStdoutFlagged(t *testing.T) {
 	src := `package p
 
-func bad(env *Env, sps *Reg) {
-	env.FanOut(func(lane int) {
-		env.After(d, f)            // scheduling: banned
-		env.Go("p", f)             // scheduling: banned
-		sps.Create(sp)             // store mutation: banned
-		sps.MutateStatus(n, f)     // Mutate* prefix: banned
-	})
+import (
+	"fmt"
+	"time"
+)
+
+func bad() {
+	fmt.Println(time.Now()) // stdout + wall clock: two violations
 }
 `
-	if got := vet(t, src); got != 4 {
-		t.Fatalf("violations = %d, want 4", got)
+	if got := vet(t, src); got != 2 {
+		t.Fatalf("violations = %d, want 2", got)
 	}
 }
 
-func TestLaneguardAllowsReadOnlyWindow(t *testing.T) {
+func TestDetAllowExemptsLine(t *testing.T) {
 	src := `package p
 
-func good(env *Env, eng *Engine) {
-	env.FanOut(func(lane int) {
-		cands, _ := eng.Rank(u, pool, k) // read-only: fine
-		env.LaneSend(lane, 0, cands)     // mailbox: the sanctioned channel
-	})
-	// The same selectors outside a window are untouched by laneguard.
-	env.After(d, f)
-	env.Go("p", f)
-}
-`
-	if got := vet(t, src); got != 0 {
-		t.Fatalf("violations = %d, want 0", got)
-	}
-}
+import "time"
 
-func TestLaneguardSeesNestedClosures(t *testing.T) {
-	src := `package p
-
-func sneaky(env *Env, sps *Reg) {
-	env.FanOut(func(lane int) {
-		helper := func() { sps.Delete(n) }
-		helper()
-	})
-}
-`
-	if got := vet(t, src); got != 1 {
-		t.Fatalf("violations = %d, want 1", got)
-	}
-}
-
-func TestLaneguardHonorsDetAllow(t *testing.T) {
-	src := `package p
-
-func exempt(env *Env, log *FileLog) {
-	env.FanOut(func(lane int) {
-		log.Put(line) //det:allow off-simulation sink
-	})
-}
+var now = time.Now //det:allow injectable default, off-simulation only
 `
 	if got := vet(t, src); got != 0 {
 		t.Fatalf("violations = %d, want 0", got)
