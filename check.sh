@@ -59,6 +59,10 @@ GOMAXPROCS=4 go test -race -run 'TestShard|TestIndex' ./internal/kube/store/
 # Smoke the kernel micro-benchmarks so a regression that only breaks bench
 # setup (not the unit tests) is caught here.
 go test ./internal/sim/ -run xxx -bench BenchmarkSimKernel -benchtime 1x
+# Smoke the residual-policy ablation: it drives frontends over the token
+# strategy from the backend registry with each sharing.ResidualPolicy, and
+# no unit test runs it.
+go test . -run xxx -bench BenchmarkAblationResidualPolicy -benchtime 1x
 # Smoke the scheduler-throughput bench (Figure 15) at quick scale; bench.sh
 # measures the full 10k point into BENCH.json.
 go test . -run xxx -bench 'BenchmarkFig15SchedulerThroughput/quick' -benchtime 1x

@@ -220,9 +220,9 @@ func Soak(cfg SoakConfig) (SoakResult, error) {
 //  3. No vGPU objects remain (on-demand policy releases every device), and
 //     DevMgr's tenant cache is empty — no leaked device shares or orphaned
 //     tenant entries.
-//  4. Every device-library token manager is resumed and empty: no
-//     registered clients, no waiters — a leaked client would pin quota on a
-//     device forever.
+//  4. Every instantiated device-library sharing strategy (token, MPS or
+//     replica) is resumed and empty: no registered clients, no waiters — a
+//     leaked client would pin quota on a device forever.
 //  5. No device is left faulted, and every node is back to Ready.
 //  6. KubeShare-Sched's incremental snapshot still matches a full relist
 //     (pool equivalence survived every watch drop, resume and relist).
@@ -247,15 +247,15 @@ func VerifyQuiescence(c *kube.Cluster, ks *core.KubeShare) []error {
 		bad = append(bad, fmt.Errorf("orphaned tenant entries on %s: %v", gpuID, tenants))
 	}
 	for nodeName, backend := range ks.Backends {
-		for uuid, mgr := range backend.Managers() {
-			if mgr.Down() {
-				bad = append(bad, fmt.Errorf("token manager %s@%s left suspended", uuid, nodeName))
+		for uuid, strat := range backend.Strategies() {
+			if strat.Down() {
+				bad = append(bad, fmt.Errorf("%s strategy %s@%s left suspended", strat.Mode(), uuid, nodeName))
 			}
-			if n := mgr.Clients(); n != 0 {
-				bad = append(bad, fmt.Errorf("token manager %s@%s leaked %d clients", uuid, nodeName, n))
+			if n := strat.Clients(); n != 0 {
+				bad = append(bad, fmt.Errorf("%s strategy %s@%s leaked %d clients", strat.Mode(), uuid, nodeName, n))
 			}
-			if n := mgr.Waiting(); n != 0 {
-				bad = append(bad, fmt.Errorf("token manager %s@%s has %d stuck waiters", uuid, nodeName, n))
+			if n := strat.Stats().QueueDepth; n != 0 {
+				bad = append(bad, fmt.Errorf("%s strategy %s@%s has %d stuck waiters", strat.Mode(), uuid, nodeName, n))
 			}
 		}
 	}

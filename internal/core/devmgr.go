@@ -97,7 +97,7 @@ type DevMgr struct {
 	// recovering single-flights vGPU recovery per gpuID.
 	recovering map[string]bool
 	// backends resolves a node's device-library daemon, for suspending and
-	// resuming token managers across vGPU pod restarts (see SetBackends).
+	// resuming sharing strategies across vGPU pod restarts (see SetBackends).
 	backends map[string]*devlib.Backend
 
 	reflectors []*apiserver.Reflector
@@ -148,7 +148,7 @@ func NewDevMgr(env *sim.Env, srv *apiserver.Server, cfg DevMgrConfig) *DevMgr {
 }
 
 // SetBackends wires the per-node device-library daemons in, so recovery can
-// suspend and resume the token manager of a dying vGPU pod. Call before
+// suspend and resume the sharing strategy of a dying vGPU pod. Call before
 // Start.
 func (m *DevMgr) SetBackends(backends map[string]*devlib.Backend) {
 	m.backends = backends
@@ -373,9 +373,9 @@ func (m *DevMgr) onHolderDown(pod *api.Pod) {
 	}))
 }
 
-// recoverVGPU replaces a dead vGPU pod: the device's token manager is
-// suspended (queued acquires fail over to the frontends' reconnect loops),
-// a fresh holder incarnation is launched, and on success the manager
+// recoverVGPU replaces a dead vGPU pod: the device's sharing strategy is
+// suspended (queued admits fail over to the frontends' reconnect loops),
+// a fresh holder incarnation is launched, and on success the strategy
 // resumes — surviving tenants re-register and continue. If the replacement
 // reports a different physical device, or never comes up, the vGPU is
 // written off and its tenants requeued.
@@ -391,12 +391,15 @@ func (m *DevMgr) recoverVGPU(p *sim.Proc, gpuID, deadHolder string, done *sim.Ev
 	oldUUID := v.Status.UUID
 	var strat sharing.Strategy
 	if b := m.backends[v.Spec.NodeName]; b != nil && oldUUID != "" {
-		// Suspend whatever strategy serves the device (in the default mode
-		// this is the same TokenManager the pre-strategy code suspended).
+		// Suspend whatever strategy serves the device; a device no client
+		// reached yet gets the node's default one, suspended like any other.
+		// An unknown default mode builds none, leaving nothing to suspend.
 		strat = b.StrategyOf(oldUUID)
 		if strat == nil {
-			strat = b.Strategy(oldUUID)
+			strat, _ = b.StrategyFor(oldUUID, "")
 		}
+	}
+	if strat != nil {
 		strat.Suspend()
 		m.recorder.Eventf(KindVGPU, gpuID, obs.EventNormal, "TokenManagerSuspended",
 			"token manager %s suspended for recovery", oldUUID)

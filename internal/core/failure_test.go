@@ -56,11 +56,13 @@ func TestTenantCrashReleasesShare(t *testing.T) {
 	if n := len(VGPUs(s.c.API).List()); n != 0 {
 		t.Fatalf("vGPUs not reclaimed: %d", n)
 	}
-	// The crashed tenant's token-manager registration must be gone.
-	for _, mgr := range []string{crash.Status.UUID} {
-		if s.ks.Backends["node-0"].Manager(mgr).Clients() != 0 {
-			t.Fatal("crashed client still registered with the token manager")
-		}
+	// The crashed tenant's token registration must be gone.
+	strat := s.ks.Backends["node-0"].StrategyOf(crash.Status.UUID)
+	if strat == nil {
+		t.Fatal("no strategy on the crashed tenant's device")
+	}
+	if strat.Clients() != 0 {
+		t.Fatal("crashed client still registered with the device's strategy")
 	}
 }
 

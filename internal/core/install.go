@@ -111,7 +111,7 @@ func InstallBase(c *kube.Cluster, cfg Config) (*KubeShare, error) {
 			if err != nil {
 				panic(fmt.Sprintf("kubeshare: install frontend for %s: %v", pod.Name, err))
 			}
-			f, err := devlib.NewFrontendWith(base, strat, pod.Name+"/"+ctn.Name, share, backend.Config())
+			f, err := devlib.NewFrontend(base, strat, pod.Name+"/"+ctn.Name, share, backend.Config())
 			if err != nil {
 				panic(fmt.Sprintf("kubeshare: install frontend for %s: %v", pod.Name, err))
 			}
@@ -122,7 +122,7 @@ func InstallBase(c *kube.Cluster, cfg Config) (*KubeShare, error) {
 			return f
 		})
 	}
-	// vGPU recovery needs to suspend/resume the dying pod's token manager.
+	// vGPU recovery needs to suspend/resume the dying pod's sharing strategy.
 	ks.DevMgr.SetBackends(ks.Backends)
 
 	return ks, nil

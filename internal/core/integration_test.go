@@ -4,6 +4,8 @@ import (
 	"fmt"
 	. "kubeshare/internal/core"
 	"kubeshare/internal/core/schedfw"
+	"kubeshare/internal/core/schedfw/fwk"
+	"kubeshare/internal/core/schedfw/plugins"
 	"math"
 	"testing"
 	"time"
@@ -406,23 +408,31 @@ func SharePodsGetWall(t *testing.T, c *kube.Cluster, name string) time.Duration 
 	return sp.Status.FinishTime - sp.Status.RunningTime
 }
 
-// TestCustomSchedulingPolicy swaps Algorithm 1 for a spread-everything
-// policy (every request on a fresh device) and verifies the DevMgr
+// spreadFilter is a custom scheduling policy expressed as a filter plugin:
+// it votes out every device that already hosts a tenant, so each request
+// opens a fresh vGPU (the default set's allocate phase) instead of sharing.
+type spreadFilter struct{}
+
+func (spreadFilter) Name() string { return "spread" }
+
+func (spreadFilter) Filter(u fwk.Unit, d *DeviceState) bool { return d.Idle }
+
+// TestCustomSchedulingPolicy extends Algorithm 1 with a spread-everything
+// filter (every request on a fresh device) and verifies the DevMgr
 // machinery serves it unchanged — the §4.6 decoupling claim.
 func TestCustomSchedulingPolicy(t *testing.T) {
-	spread := func(r Request, pool *Pool) Decision {
-		// Always ask for a new device; fall back to Algorithm 1 only when
-		// the cluster is out of GPUs.
-		if len(pool.FreePhysical) == 0 {
-			return Schedule(r, pool)
-		}
-		saveDevices := pool.Devices
-		pool.Devices = nil // hide existing devices to force new_dev
-		dec := Schedule(r, pool)
-		pool.Devices = append(saveDevices, pool.Devices...)
-		return dec
+	env := sim.NewEnv()
+	c, err := kube.NewCluster(env, kube.DefaultConfig(1))
+	if err != nil {
+		t.Fatal(err)
 	}
-	s := newStack(t, 1, Config{Scheduler: SchedulerConfig{Decide: spread}})
+	ks, err := schedfw.Install(c, Config{},
+		schedfw.WithPlugins(append(plugins.Default(), spreadFilter{})...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	registerTrainImage(c)
+	s := &testStack{env: env, c: c, ks: ks}
 	s.env.Go("submit", func(p *sim.Proc) {
 		s.create(t, sharePod("a", 0.2, 0.4, 0.1, 1))
 		s.create(t, sharePod("b", 0.2, 0.4, 0.1, 1))

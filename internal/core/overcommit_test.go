@@ -59,8 +59,8 @@ func TestMemOvercommitEndToEnd(t *testing.T) {
 	if len(uuids) != 1 {
 		t.Fatalf("over-commitment did not co-locate: %d GPUs", len(uuids))
 	}
-	mgr := oc.ks.Backends["node-0"].Manager(firstKey(uuids))
-	if mgr.SwappedBytes() == 0 {
+	strat := oc.ks.Backends["node-0"].StrategyOf(firstKey(uuids))
+	if strat == nil || strat.Stats().SwappedBytes == 0 {
 		t.Fatal("no swap traffic despite over-committed working sets")
 	}
 }

@@ -70,7 +70,7 @@ func (s *Scheduler) scheduleGang(gang string, pending []*core.SharePod, txn *fwk
 	short := false
 	for _, sp := range members {
 		u := unitOf(sp)
-		dec := s.decideOne(u, txn)
+		dec := s.engine.Schedule(u, txn)
 		s.decisions.Inc()
 		switch dec.Outcome {
 		case core.Rejected:

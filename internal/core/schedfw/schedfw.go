@@ -66,7 +66,7 @@ type options struct {
 type Option func(*options)
 
 // WithConfig seeds every knob a core.SchedulerConfig carries (cycle
-// latency, overcommit factor, Decide override) in one option.
+// latency, overcommit factor) in one option.
 func WithConfig(cfg core.SchedulerConfig) Option {
 	return func(o *options) { o.cfg = cfg }
 }
@@ -81,14 +81,6 @@ func WithMemOvercommit(f float64) Option {
 	return func(o *options) { o.cfg.MemOvercommitFactor = f }
 }
 
-// WithDecide overrides the placement algorithm with a bare decide function
-// (§4.6's pluggable-policy claim, legacy form). The function commits onto
-// the pool directly, bypassing the reservation journal — gang rollback is
-// unavailable under it. New policies should be expressed as plugins instead.
-func WithDecide(fn func(core.Request, *core.Pool) core.Decision) Option {
-	return func(o *options) { o.cfg.Decide = fn }
-}
-
 // WithBatchSize sets how many placements one cycle may stage. n <= 1 is
 // compat mode; larger batches amortize the cycle latency and the pool
 // materialization across n decisions.
@@ -101,7 +93,9 @@ func WithGangTimeout(d time.Duration) Option {
 	return func(o *options) { o.gangTimeout = d }
 }
 
-// WithPlugins replaces the default Algorithm 1 plugin set.
+// WithPlugins replaces the default Algorithm 1 plugin set — §4.6's
+// pluggable scheduling policy: a custom policy is a plugin list, typically
+// plugins.Default() with extra filters or scorers appended.
 func WithPlugins(ps ...fwk.Plugin) Option {
 	return func(o *options) { o.plugins = ps }
 }
@@ -382,7 +376,7 @@ func (s *Scheduler) stage(pending []*core.SharePod, txn *fwk.Txn, out *[]staged)
 			progressed += s.scheduleGang(g, pending, txn, out)
 			continue
 		}
-		dec := s.decideOne(unitOf(sp), txn)
+		dec := s.engine.Schedule(unitOf(sp), txn)
 		s.decisions.Inc()
 		switch dec.Outcome {
 		case core.Assigned, core.NewDevice, core.Rejected:
@@ -395,16 +389,6 @@ func (s *Scheduler) stage(pending []*core.SharePod, txn *fwk.Txn, out *[]staged)
 		}
 	}
 	return progressed
-}
-
-// decideOne routes a unit through the engine, or through the legacy Decide
-// override when one is configured (which commits onto the pool directly,
-// outside the reservation journal).
-func (s *Scheduler) decideOne(u fwk.Unit, txn *fwk.Txn) core.Decision {
-	if s.cfg.Decide != nil {
-		return s.cfg.Decide(u.Req, txn.Pool())
-	}
-	return s.engine.Schedule(u, txn)
 }
 
 // commit applies one staged decision through the API server, emitting the

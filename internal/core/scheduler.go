@@ -16,12 +16,6 @@ type SchedulerConfig struct {
 	// (default 1.0 = no over-commitment). Values >1 must be paired with
 	// devlib.Config.MemOvercommit so the device library swaps working sets.
 	MemOvercommitFactor float64
-	// Decide overrides the placement algorithm — §4.6's claim that users
-	// can swap in their own scheduling logic because Sched and DevMgr are
-	// decoupled controllers. The function must commit accepted placements
-	// onto the pool (DeviceState.Place) like the default Algorithm 1 does.
-	// Nil selects core.Schedule.
-	Decide func(Request, *Pool) Decision
 }
 
 // DefaultCycleLatency is used when CycleLatency is zero. Algorithm 1 itself

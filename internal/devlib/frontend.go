@@ -152,6 +152,24 @@ type Frontend struct {
 
 var _ cuda.API = (*Frontend)(nil)
 
+// Swapper is the optional memory-over-commitment surface a strategy may
+// provide (today only sharing.Token does — swapping happens at token
+// handoff, which needs a gate). Frontends type-assert for it when
+// Config.MemOvercommit is set and fall back to plain fractional enforcement
+// when the strategy cannot swap.
+type Swapper interface {
+	// EnableSwap turns on the swap broker with the device capacity and
+	// host↔device bandwidth (idempotent).
+	EnableSwap(capacity, bw int64)
+	// SetVirtualUsage declares id's total virtual allocation.
+	SetVirtualUsage(id string, bytes int64) error
+	// EnsureResident blocks p until id's working set is on the device,
+	// paying transfer time for swap-ins (and evictions of others).
+	EnsureResident(p *sim.Proc, id string) error
+}
+
+var _ Swapper = (*sharing.Token)(nil)
+
 // deviceContexter is the optional surface a cuda.API exposes to reach the
 // simulated device context (cuda.Driver does); the frontend uses it to set
 // overlap compute weights and absolute memory limits.
@@ -159,26 +177,19 @@ type deviceContexter interface {
 	Context() *gpusim.Context
 }
 
-// NewFrontend wraps base for a container under the default token strategy
-// — the pre-sharing-layer constructor, kept so token-mode callers (and the
-// paper's original wiring) are untouched. It registers the container with
-// the device's token manager; the caller must ensure the sum of Request
-// over a device's containers stays ≤ 1 (KubeShare-Sched's job).
-func NewFrontend(base cuda.API, mgr *TokenManager, clientID string, share Share) (*Frontend, error) {
-	return NewFrontendWith(base, TokenStrategy{mgr}, clientID, share, mgr.cfg)
-}
-
-// NewFrontendWith wraps base for a container under an explicit sharing
-// strategy. cfg supplies the frontend-side knobs (handoff, grace, memory
+// NewFrontend wraps base for a container under the device's sharing
+// strategy and registers the container with it; the caller must ensure the
+// sum of Request over a device's containers stays ≤ 1 (KubeShare-Sched's
+// job). cfg supplies the frontend-side knobs (handoff, grace, memory
 // over-commitment, telemetry) — pass the owning Backend's Config.
-func NewFrontendWith(base cuda.API, strat sharing.Strategy, clientID string, share Share, cfg Config) (*Frontend, error) {
+func NewFrontend(base cuda.API, strat sharing.Strategy, clientID string, share Share, cfg Config) (*Frontend, error) {
 	if err := share.Validate(); err != nil {
 		return nil, err
 	}
 	// A container may start while the device's daemon is down (vGPU pod
 	// being replaced mid-recovery): tolerate it — the first compute call's
 	// reconnect loop registers once the daemon is back.
-	if err := strat.Register(clientID, share.resources()); err != nil && !isDownErr(err) {
+	if err := strat.Register(clientID, share.resources()); err != nil && !errors.Is(err, sharing.ErrDown) {
 		return nil, err
 	}
 	total := base.Device().MemoryBytes
@@ -230,12 +241,6 @@ func NewFrontendWith(base cuda.API, strat sharing.Strategy, clientID string, sha
 		}
 	}
 	return f, nil
-}
-
-// isDownErr reports whether err marks a suspended strategy (either the
-// token manager's legacy sentinel or the sharing layer's).
-func isDownErr(err error) bool {
-	return errors.Is(err, ErrManagerDown) || errors.Is(err, sharing.ErrDown)
 }
 
 // SetTraceKey names the causal-trace chain the frontend's milestones (first
@@ -357,7 +362,7 @@ func (f *Frontend) acquireLease(p *sim.Proc) error {
 			}
 			return nil
 		}
-		if !isDownErr(err) || attempt >= reconnectAttempts {
+		if !errors.Is(err, sharing.ErrDown) || attempt >= reconnectAttempts {
 			return err
 		}
 		p.Sleep(retry.Next())

@@ -7,8 +7,6 @@ import (
 	"testing/quick"
 	"time"
 
-	"kubeshare/internal/cuda"
-	"kubeshare/internal/gpusim"
 	"kubeshare/internal/sim"
 )
 
@@ -38,12 +36,11 @@ func TestPropertyGuaranteesUnderRandomShares(t *testing.T) {
 			lim := math.Min(1, req*2)
 			shares = append(shares, Share{Request: req, Limit: lim, Memory: 0.2})
 		}
-		env := sim.NewEnv()
-		dev := gpusim.NewDevice(env, gpusim.Config{NodeName: "n"})
-		mgr := NewBackend(env, Config{}).Manager(dev.UUID())
+		r := newRig(Config{})
+		env := r.env
 		var fronts []*Frontend
 		for i, s := range shares {
-			fr, err := NewFrontend(cuda.Open(dev, fmt.Sprint(i)), mgr, fmt.Sprint(i), s)
+			fr, err := r.open(fmt.Sprint(i), s)
 			if err != nil {
 				return false
 			}
@@ -60,7 +57,7 @@ func TestPropertyGuaranteesUnderRandomShares(t *testing.T) {
 		quotaShare := float64(DefaultQuota) / float64(DefaultWindow)
 		ok := true
 		for i, s := range shares {
-			u := mgr.UsageRate(fmt.Sprint(i))
+			u := r.strat.UsageRate(fmt.Sprint(i))
 			if u < s.Request-0.08 {
 				ok = false // guarantee violated
 			}
@@ -80,11 +77,10 @@ func TestPropertyGuaranteesUnderRandomShares(t *testing.T) {
 func TestPropertyHoldSpansDisjoint(t *testing.T) {
 	f := func(seed uint8) bool {
 		n := int(seed%3) + 2
-		env := sim.NewEnv()
-		dev := gpusim.NewDevice(env, gpusim.Config{NodeName: "n"})
-		mgr := NewBackend(env, Config{}).Manager(dev.UUID())
+		r := newRig(Config{})
+		env := r.env
 		for i := 0; i < n; i++ {
-			fr, err := NewFrontend(cuda.Open(dev, fmt.Sprint(i)), mgr, fmt.Sprint(i), Share{Request: 1.0 / float64(n), Limit: 1, Memory: 0.1})
+			fr, err := r.open(fmt.Sprint(i), Share{Request: 1.0 / float64(n), Limit: 1, Memory: 0.1})
 			if err != nil {
 				return false
 			}
@@ -100,7 +96,7 @@ func TestPropertyHoldSpansDisjoint(t *testing.T) {
 		env.RunUntil(horizon)
 		sum := 0.0
 		for i := 0; i < n; i++ {
-			sum += mgr.UsageRate(fmt.Sprint(i))
+			sum += r.strat.UsageRate(fmt.Sprint(i))
 		}
 		// Window share can at most be 1 (plus small kernel-overrun slack).
 		return sum <= 1.05

@@ -111,7 +111,7 @@ func (m *MPS) Release(id string, l Lease) {}
 func (m *MPS) Waiting(id string) int { return 0 }
 
 // Suspend drops all registrations and fails subsequent admissions with
-// ErrDown until Resume, mirroring the token manager's crash semantics.
+// ErrDown until Resume, mirroring Token's crash semantics.
 // Outstanding ungated leases stay valid: with no gate in the data path, a
 // daemon outage does not stop already-admitted contexts (real MPS behaves
 // the same way — the control daemon dying leaves running contexts alone).

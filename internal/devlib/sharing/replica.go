@@ -192,7 +192,7 @@ func (r *Replica) Waiting(id string) int {
 }
 
 // Suspend fails every queued admit with ErrDown, invalidates turns and
-// drops registrations, mirroring the token manager's crash semantics.
+// drops registrations, mirroring Token's crash semantics.
 func (r *Replica) Suspend() {
 	if r.down {
 		return

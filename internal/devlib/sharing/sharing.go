@@ -4,11 +4,12 @@
 // blocking the caller), accounts per-tenant usage, and survives the
 // suspend/resume cycle of the vGPU pod hosting it.
 //
-// Three families of policies are provided:
+// Three peer policies are provided:
 //
-//   - token (the default, implemented by devlib.TokenStrategy): Gemini-style
-//     token-gated time-slicing — exclusive holds, sliding-window usage
-//     accounting, gpu_request guarantees and gpu_limit caps.
+//   - token (NewToken, the default): the paper's Gemini-style token-gated
+//     time-slicing — exclusive holds, sliding-window usage accounting,
+//     gpu_request guarantees and gpu_limit caps, plus the optional
+//     memory-over-commitment swap broker (swap.go).
 //   - mps (NewMPS): MPS-style concurrent overlap — kernels from different
 //     tenants run simultaneously; gpusim's weighted processor sharing models
 //     the SM/compute-fraction split, and isolation is limited (a faulting
@@ -59,8 +60,8 @@ func ParseMode(s string) (Mode, error) {
 
 // ErrDown is returned by strategy operations while the strategy is
 // suspended — the vGPU pod hosting the device daemon died and its
-// replacement has not come up yet. Frontends treat it (like
-// devlib.ErrManagerDown) as transient and reconnect with bounded backoff.
+// replacement has not come up yet. Frontends treat it as transient and
+// reconnect with bounded backoff.
 var ErrDown = errors.New("sharing: strategy suspended")
 
 // Resources is one client's demand, the values from the SharePodSpec.

@@ -1,4 +1,4 @@
-package devlib
+package sharing
 
 import (
 	"fmt"
@@ -9,15 +9,15 @@ import (
 )
 
 // Memory over-commitment support (the paper's §6 discussion of
-// GPUswap-style virtual memory): when Config.MemOvercommit is enabled, the
+// GPUswap-style virtual memory): when the device library enables it, the
 // sum of the containers' gpu_mem shares on a device may exceed 1. Container
-// memory becomes virtual; the token manager's memory broker keeps track of
+// memory becomes virtual; the token strategy's memory broker keeps track of
 // which containers' working sets are resident, and swaps cold sets out to
 // host memory (paying PCIe transfer time) when the next token holder's set
 // must be brought in. This trades GPU memory capacity for handoff latency —
 // exactly the risk the paper calls out.
 
-// swapState is the per-device residency bookkeeping inside a TokenManager.
+// swapState is the per-device residency bookkeeping inside a Token.
 type swapState struct {
 	capacity int64
 	// virtual is each client's allocated (virtual) bytes; resident is the
@@ -42,70 +42,59 @@ func newSwapState(capacity, bw int64) *swapState {
 
 // EnableSwap turns on the memory broker for this device. capacity is the
 // physical device memory; bw the host↔device transfer bandwidth.
-func (m *TokenManager) EnableSwap(capacity, bw int64) {
-	if m.swap == nil {
-		m.swap = newSwapState(capacity, bw)
+func (t *Token) EnableSwap(capacity, bw int64) {
+	if t.swap == nil {
+		t.swap = newSwapState(capacity, bw)
 	}
-}
-
-// SwapEnabled reports whether the broker is active.
-func (m *TokenManager) SwapEnabled() bool { return m.swap != nil }
-
-// SwappedBytes returns the total bytes transferred by swapping so far.
-func (m *TokenManager) SwappedBytes() int64 {
-	if m.swap == nil {
-		return 0
-	}
-	return m.swap.swapped
 }
 
 // ResidentBytes returns a client's currently resident bytes.
-func (m *TokenManager) ResidentBytes(id string) int64 {
-	if m.swap == nil {
+func (t *Token) ResidentBytes(id string) int64 {
+	if t.swap == nil {
 		return 0
 	}
-	return m.swap.resident[id]
+	return t.swap.resident[id]
 }
 
 // SetVirtualUsage records a client's allocated virtual bytes. Growth beyond
 // current residency becomes resident lazily at the next EnsureResident;
 // shrinking frees residency immediately.
-func (m *TokenManager) SetVirtualUsage(id string, bytes int64) error {
-	if m.swap == nil {
-		return fmt.Errorf("devlib: swap not enabled on %s", m.uuid)
+func (t *Token) SetVirtualUsage(id string, bytes int64) error {
+	if t.swap == nil {
+		return fmt.Errorf("sharing: swap not enabled on %s", t.uuid)
 	}
-	if bytes > m.swap.capacity {
-		return fmt.Errorf("devlib: client %s working set %d exceeds device capacity %d",
-			id, bytes, m.swap.capacity)
+	if bytes > t.swap.capacity {
+		return fmt.Errorf("sharing: client %s working set %d exceeds device capacity %d",
+			id, bytes, t.swap.capacity)
 	}
-	m.swap.virtual[id] = bytes
-	if m.swap.resident[id] > bytes {
-		m.swap.resident[id] = bytes
+	t.swap.virtual[id] = bytes
+	if t.swap.resident[id] > bytes {
+		t.swap.resident[id] = bytes
 	}
 	if bytes == 0 {
-		delete(m.swap.virtual, id)
-		delete(m.swap.resident, id)
+		delete(t.swap.virtual, id)
+		delete(t.swap.resident, id)
 	}
 	return nil
 }
 
-// DropResidency releases a departing client's memory without transfer cost
+// dropResidency releases a departing client's memory without transfer cost
 // (its contents are discarded, not swapped).
-func (m *TokenManager) DropResidency(id string) {
-	if m.swap == nil {
+func (t *Token) dropResidency(id string) {
+	if t.swap == nil {
 		return
 	}
-	delete(m.swap.virtual, id)
-	delete(m.swap.resident, id)
-	delete(m.swap.lastUse, id)
+	delete(t.swap.virtual, id)
+	delete(t.swap.resident, id)
+	delete(t.swap.lastUse, id)
 }
 
 // EnsureResident blocks p until id's full virtual set is resident, evicting
 // the least-recently-used other clients as needed and sleeping for the PCIe
 // transfer time of everything moved. It must be called while id holds the
 // token (the device is quiescent for everyone else).
-func (m *TokenManager) EnsureResident(p *sim.Proc, id string) error {
-	s := m.swap
+func (t *Token) EnsureResident(p *sim.Proc, id string) error {
+	s := t.swap
 	if s == nil {
 		return nil
 	}
@@ -149,7 +138,7 @@ func (m *TokenManager) EnsureResident(p *sim.Proc, id string) error {
 			s.resident[v.id] = 0
 		}
 		if free < need {
-			return fmt.Errorf("devlib: cannot make %d bytes resident for %s (capacity %d)",
+			return fmt.Errorf("sharing: cannot make %d bytes resident for %s (capacity %d)",
 				s.virtual[id], id, s.capacity)
 		}
 	}

@@ -123,8 +123,11 @@ func Fig6(cfg Fig6Config) (*Fig6Result, error) {
 				if sp.Status.UUID == "" {
 					continue
 				}
-				mgr := backend.Manager(sp.Status.UUID)
-				usage[j.name].Add(env.Now(), mgr.UsageRate(sp.Status.BoundPod+"/train"))
+				rate := 0.0
+				if strat := backend.StrategyOf(sp.Status.UUID); strat != nil {
+					rate = strat.UsageRate(sp.Status.BoundPod + "/train")
+				}
+				usage[j.name].Add(env.Now(), rate)
 			}
 			if done == len(jobs) {
 				return

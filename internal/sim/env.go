@@ -2,7 +2,7 @@
 // simulation kernel in the style of SimPy.
 //
 // Every component of the simulated cluster (kubelets, schedulers, container
-// entrypoints, token managers, workload generators) runs as a Proc: a
+// entrypoints, sharing strategies, workload generators) runs as a Proc: a
 // coroutine whose execution is strictly interleaved by the Env scheduler so
 // that exactly one proc runs at any instant. Blocking operations (Sleep,
 // Event.Wait, Queue.Get, Resource.Acquire) hand control back to the

@@ -387,10 +387,15 @@ func (s *Sim) usageRate(sp *SharePod) float64 {
 	if !ok {
 		return 0
 	}
-	mgr := backend.Manager(sp.Status.UUID)
+	// Read-only: a device no client has reached yet has no strategy, and
+	// taking a snapshot must not instantiate one.
+	strat := backend.StrategyOf(sp.Status.UUID)
+	if strat == nil {
+		return 0
+	}
 	total := 0.0
 	for _, c := range sp.Spec.Pod.Containers {
-		total += mgr.UsageRate(sp.Status.BoundPod + "/" + c.Name)
+		total += strat.UsageRate(sp.Status.BoundPod + "/" + c.Name)
 	}
 	return total
 }

@@ -1,6 +1,7 @@
 package kubeshare
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -176,6 +177,113 @@ func TestFacadeUsageRate(t *testing.T) {
 	}
 	if _, ok := usage["ghost"]; ok {
 		t.Fatal("unknown sharePod has usage entry")
+	}
+}
+
+// TestFacadeStatsHasNoTelemetrySideEffects: taking a Stats snapshot of a
+// running sharePod on an MPS device must not instantiate a token strategy
+// (and with it zero-valued token-metric series) for that device.
+func TestFacadeStatsHasNoTelemetrySideEffects(t *testing.T) {
+	s, err := New(WithNodes(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.RegisterImage("spin", func(ctx *ContainerCtx) error {
+		for i := 0; i < 1000; i++ {
+			if err := ctx.CUDA.LaunchKernel(ctx.Proc, 10*time.Millisecond); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	s.Go("main", func(p *sim.Proc) {
+		if _, err := s.CreateSharePod(&SharePod{
+			ObjectMeta: ObjectMeta{Name: "overlap"},
+			Spec: SharePodSpec{
+				GPURequest: 0.3, GPULimit: 0.6, GPUMem: 0.2, SharingMode: "mps",
+				Pod: PodSpec{Containers: []Container{{Name: "c", Image: "spin"}}},
+			},
+		}); err != nil {
+			t.Errorf("create: %v", err)
+		}
+	})
+	s.RunFor(5 * time.Second)
+	// Stats lists sharePods through the API server, which legitimately
+	// counts the reads; every other series must stay as it was.
+	metrics := func() MetricsSnapshot {
+		m := s.Metrics()
+		kept := m.Counters[:0]
+		for _, c := range m.Counters {
+			if c.Name != "kubeshare_apiserver_read_requests_total" {
+				kept = append(kept, c)
+			}
+		}
+		m.Counters = kept
+		return m
+	}
+	before := metrics()
+	st := s.Stats()
+	if st.RunningSharePods != 1 {
+		t.Fatalf("running sharePods = %d, want the MPS tenant running", st.RunningSharePods)
+	}
+	if after := metrics(); !reflect.DeepEqual(before, after) {
+		t.Fatalf("Stats() changed the metrics snapshot:\nbefore %+v\nafter  %+v", before, after)
+	}
+}
+
+// TestFacadeDeviceChangesModeAcrossVGPUs reuses one physical GPU for two
+// vGPUs in turn: an MPS tenant runs to completion (its vGPU is released
+// under the on-demand pool), then a default-mode tenant gets a fresh vGPU on
+// the same device and must be served by the token strategy.
+func TestFacadeDeviceChangesModeAcrossVGPUs(t *testing.T) {
+	s, err := New(WithNodes(1), WithGPUsPerNode(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.RegisterImage("burst", func(ctx *ContainerCtx) error {
+		for i := 0; i < 10; i++ {
+			if err := ctx.CUDA.LaunchKernel(ctx.Proc, 10*time.Millisecond); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	create := func(name, mode string) {
+		if _, err := s.CreateSharePod(&SharePod{
+			ObjectMeta: ObjectMeta{Name: name},
+			Spec: SharePodSpec{
+				GPURequest: 0.5, GPULimit: 1, GPUMem: 0.25, SharingMode: mode,
+				Pod: PodSpec{Containers: []Container{{Name: "c", Image: "burst"}}},
+			},
+		}); err != nil {
+			t.Errorf("create %s: %v", name, err)
+		}
+	}
+	s.Go("main", func(p *sim.Proc) { create("overlap", "mps") })
+	s.RunFor(time.Minute)
+	if n := len(s.VGPUs().List()); n != 0 {
+		t.Fatalf("vGPUs = %d after the MPS tenant finished, want 0", n)
+	}
+	s.Go("main", func(p *sim.Proc) { create("sliced", "") })
+	s.RunFor(time.Minute)
+	first, err := s.SharePods().Get("overlap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := s.SharePods().Get("sliced")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range []*SharePod{first, second} {
+		if sp.Status.Phase != SharePodSucceeded {
+			t.Fatalf("%s: %s (%s)", sp.Name, sp.Status.Phase, sp.Status.Message)
+		}
+	}
+	if first.Status.UUID != second.Status.UUID {
+		t.Fatalf("tenants ran on %s and %s, want the single GPU reused", first.Status.UUID, second.Status.UUID)
+	}
+	if strat := s.KS.Backends["node-0"].StrategyOf(second.Status.UUID); strat == nil || strat.Mode() != "token" {
+		t.Fatal("device not served by the token strategy after the mode change")
 	}
 }
 
