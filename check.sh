@@ -14,8 +14,10 @@ go vet ./...
 go run ./tools/detvet -metricsdoc docs/METRICS.md ./internal
 # The metrics reference itself must be freshly generated, not hand-edited.
 go run ./tools/metricsdoc -check
-# Perf-regression gate over BENCH.json: newest vs previous record per
-# watched section, declared tolerances (see tools/benchgate).
+# Perf-regression gate over BENCH.json: per watched metric, the newest
+# record vs the previous one (virtual-clock values) or vs the best of the
+# last five with the same cpus/gomaxprocs (wall-clock values), declared
+# tolerances (see tools/benchgate).
 go run ./tools/benchgate
 go test ./...
 # Telemetry export surface: the SLO alert engine and fairness auditor must
@@ -59,6 +61,10 @@ GOMAXPROCS=4 go test -race -run 'TestShard|TestIndex' ./internal/kube/store/
 # Smoke the kernel micro-benchmarks so a regression that only breaks bench
 # setup (not the unit tests) is caught here.
 go test ./internal/sim/ -run xxx -bench BenchmarkSimKernel -benchtime 1x
+# Smoke the devlib layer micro-benchmark (per-kernel-launch token
+# admission, two tenants alternating on one device); the zero-allocation
+# budget itself is gated by TestTokenAdmissionAllocFree above.
+go test ./internal/devlib/ -run xxx -bench BenchmarkLayerDevlibLaunch -benchtime 1x
 # Smoke the residual-policy ablation: it drives frontends over the token
 # strategy from the backend registry with each sharing.ResidualPolicy, and
 # no unit test runs it.

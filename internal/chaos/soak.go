@@ -8,6 +8,7 @@ import (
 	"kubeshare/internal/core/schedfw"
 	"kubeshare/internal/kube"
 	"kubeshare/internal/kube/apiserver"
+	"kubeshare/internal/obs"
 	"kubeshare/internal/sim"
 	"kubeshare/internal/simrand"
 	"kubeshare/internal/workload"
@@ -115,6 +116,9 @@ type SoakResult struct {
 	Recoveries, RecoveryFails int64
 	// Resumes/Relists sum reflector reconnect statistics cluster-wide.
 	Resumes, Relists int
+	// AdmitRetries counts device-library admissions that found their
+	// sharing strategy down and slept out a reconnect backoff.
+	AdmitRetries int64
 	// Elapsed is the virtual time the last sharePod reached a terminal
 	// phase — the workload makespan under faults.
 	Elapsed time.Duration
@@ -194,6 +198,9 @@ func Soak(cfg SoakConfig) (SoakResult, error) {
 		res.Resumes += resumes
 		res.Relists += relists
 	}
+	c.Obs.CounterVec("kubeshare_devlib_reconnect_retries_total", "gpu_uuid").Each(func(_ []obs.Label, v int64) {
+		res.AdmitRetries += v
+	})
 	res.Violations = VerifyQuiescence(c, ks)
 	// Final warm-recovery audit: one more crash/restore at quiescence must
 	// be invisible — the restored store, the relisted reflector caches and

@@ -52,6 +52,7 @@ func TestSoakSeeds(t *testing.T) {
 	var restarts int
 	var requeues, recoveries int64
 	var resumes, relists int
+	var admitRetries int64
 	for _, seed := range []int64{1, 2, 3, 4} {
 		res := requireClean(t, SoakConfig{Seed: seed})
 		total.NodeCrashes += res.Faults.NodeCrashes
@@ -66,6 +67,7 @@ func TestSoakSeeds(t *testing.T) {
 		recoveries += res.Recoveries
 		resumes += res.Resumes
 		relists += res.Relists
+		admitRetries += res.AdmitRetries
 	}
 	if total.NodeCrashes == 0 || total.HolderKills == 0 || total.DeviceFaults == 0 ||
 		total.WatchDrops == 0 || total.APIRestarts == 0 {
@@ -88,6 +90,9 @@ func TestSoakSeeds(t *testing.T) {
 	}
 	if resumes == 0 {
 		t.Fatal("no reflector ever resumed — watch drops went unnoticed")
+	}
+	if admitRetries == 0 {
+		t.Fatal("no device-library admission ever retried a down strategy — the reconnect backoff went untested")
 	}
 	_ = restarts
 	_ = relists

@@ -333,13 +333,15 @@ func (f *Frontend) MemcpyDtoH(p *sim.Proc, n int64) error {
 }
 
 // acquireLease obtains a valid lease, riding out strategy outages: on a
-// down error it sleeps with capped exponential backoff, re-registers with
-// the (replacement) strategy once it is serving again, and retries — up to
-// reconnectAttempts before surfacing the error to the application.
+// down error it sleeps a decorrelated-jitter delay (internal/kube/backoff),
+// re-registers with the (replacement) strategy once it is serving again,
+// and retries — up to reconnectAttempts before surfacing the error to the
+// application. The backoff is built on the first failure only: admission
+// runs on every kernel launch, and seeding a random source there would
+// cost more than the admission itself.
 func (f *Frontend) acquireLease(p *sim.Proc) error {
-	// Seeded per client, so a holder kill that strands many frontends at the
-	// same instant spreads their re-registration attempts apart.
-	retry := backoff.New("devlib/"+f.clientID, reconnectBase, reconnectCap)
+	var retry *backoff.Backoff
+	var retries *obs.Counter
 	for attempt := 0; ; attempt++ {
 		lease, err := f.strat.Admit(p, f.clientID)
 		if err == nil {
@@ -365,6 +367,14 @@ func (f *Frontend) acquireLease(p *sim.Proc) error {
 		if !errors.Is(err, sharing.ErrDown) || attempt >= reconnectAttempts {
 			return err
 		}
+		if retry == nil {
+			// Seeded per client, so a holder kill that strands many
+			// frontends at the same instant spreads their re-registration
+			// attempts apart.
+			retry = backoff.New("devlib/"+f.clientID, reconnectBase, reconnectCap)
+			retries = f.cfg.Obs.CounterVec("kubeshare_devlib_reconnect_retries_total", "gpu_uuid").With(f.base.Device().UUID)
+		}
+		retries.Inc()
 		p.Sleep(retry.Next())
 		if f.closed {
 			return cuda.ErrClosed // torn down while waiting out the outage

@@ -67,11 +67,13 @@ type Token struct {
 type tclient struct {
 	id       string
 	tenant   string  // owning sharePod name; defaults to id until SetTenant
+	waitKey  string  // "SharePod/"+tenant, the token-wait exemplar's chain key
 	request  float64 // guaranteed minimum usage share (gpu_request)
 	limit    float64 // maximum usage share (gpu_limit)
 	window   *metrics.UsageWindow
 	queued   *sim.Event // pending admit, nil when none
 	admit    *sim.Event // cached admit event, Reset and reused per Admit
+	lease    Lease      // the grant that fired admit; Admit reads it back
 	enqueued time.Duration
 	grants   int64        // token grants to this client, for per-tenant stats
 	hold     *obs.Counter // cached kubeshare_devlib_token_hold_ns_total child
@@ -134,6 +136,7 @@ func (t *Token) Register(id string, res Resources) error {
 	t.clients[id] = &tclient{
 		id:      id,
 		tenant:  tenant,
+		waitKey: waitKey(tenant),
 		request: res.Request,
 		limit:   max(res.Limit, res.Request),
 		window:  metrics.NewUsageWindow(t.window),
@@ -152,8 +155,13 @@ func (t *Token) SetTenant(id, tenant string) {
 		return
 	}
 	c.tenant = tenant
+	c.waitKey = waitKey(tenant)
 	c.hold = nil // re-fetched lazily under the new tenant label
 }
+
+// waitKey is the causal-trace chain key of tenant's token-wait exemplars:
+// the owning sharePod. It is built when the tenant changes, not per grant.
+func waitKey(tenant string) string { return "SharePod/" + tenant }
 
 // Unregister removes a container: a pending admit is abandoned and a held
 // token is reclaimed immediately. Safe to call for unknown ids.
@@ -304,11 +312,10 @@ func (t *Token) Admit(p *sim.Proc, id string) (Lease, error) {
 	c.enqueued = t.env.Now()
 	t.queue = append(t.queue, c)
 	t.trySchedule() // may grant synchronously, clearing c.queued
-	v := p.Wait(ev)
-	if err, ok := v.(error); ok {
+	if err, ok := p.Wait(ev).(error); ok {
 		return Lease{}, err // suspended while we waited
 	}
-	return v.(Lease), nil
+	return c.lease, nil
 }
 
 // Release voluntarily returns the token. Stale releases (a token that
@@ -394,12 +401,14 @@ func (t *Token) trySchedule() {
 	t.admits.Inc()
 	// Token-wait exemplar: the chain key is the owning sharePod; no span
 	// anchors the grant itself (span 0), the chain's grant mark does.
-	t.waitHist.ObserveDurationExemplar(now-best.enqueued, "SharePod/"+best.tenant, 0)
+	t.waitHist.ObserveDurationExemplar(now-best.enqueued, best.waitKey, 0)
 	t.holder = best
 	t.grant = now
-	lease := Lease{ExpiresAt: now + t.quota, Seq: t.seq, Gated: true}
+	// The grant is handed over on the client record rather than as the
+	// event's value: boxing a Lease into an interface allocates per grant.
+	best.lease = Lease{ExpiresAt: now + t.quota, Seq: t.seq, Gated: true}
 	t.expiry = t.env.After(t.quota, t.expireFn)
 	ev := best.queued
 	best.queued = nil
-	ev.Trigger(lease)
+	ev.Trigger(nil)
 }

@@ -79,12 +79,119 @@ func TestScaleSweepWallRegressionFails(t *testing.T) {
 	}
 }
 
+// TestPersistentWallStepFails: a wall-clock step that persists must keep
+// failing. Fig 8a went from 195 to 833 ms/op and stayed there; against the
+// previous record alone the second slow record would pass and become the
+// baseline, but the best of the last same-host records still remembers 195.
+func TestPersistentWallStepFails(t *testing.T) {
+	var out strings.Builder
+	bad, err := gate([]byte(`{"records": [
+		{"commit": "aaaaaaa", "cpus": 1, "benchmarks": {
+			"BenchmarkFig8aJobFrequency": {"cpus": 1, "gomaxprocs": 1, "ns_op": 195266933},
+			"BenchmarkFig9Utilization": {"cpus": 1, "gomaxprocs": 1, "ns_op": 105021024}}},
+		{"commit": "bbbbbbb", "cpus": 1, "benchmarks": {
+			"BenchmarkFig8aJobFrequency": {"cpus": 1, "gomaxprocs": 1, "ns_op": 833406381},
+			"BenchmarkFig9Utilization": {"cpus": 1, "gomaxprocs": 1, "ns_op": 105021024}}},
+		{"commit": "ccccccc", "cpus": 1, "benchmarks": {
+			"BenchmarkFig8aJobFrequency": {"cpus": 1, "gomaxprocs": 1, "ns_op": 821865907},
+			"BenchmarkFig9Utilization": {"cpus": 1, "gomaxprocs": 1, "ns_op": 105021024}}}
+	]}`), &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bad != 1 {
+		t.Fatalf("a 195 -> 833 ms step persisting for two records: got %d violations, want 1:\n%s", bad, out.String())
+	}
+	if !strings.Contains(out.String(), "benchmarks.BenchmarkFig8aJobFrequency.ns_op") ||
+		!strings.Contains(out.String(), "aaaaaaa") {
+		t.Errorf("violation must name the metric and the best record as baseline:\n%s", out.String())
+	}
+}
+
+// TestWallBaselineWindow: the wall baseline is the best of the last
+// wallWindow earlier same-host records, so a step older than that has
+// rolled out of the window and the slow level is the baseline again — and
+// one record fewer keeps it failing.
+func TestWallBaselineWindow(t *testing.T) {
+	recs := []string{`{"commit": "fast", "obs_overhead": {"cpus": 2, "gomaxprocs": 2, "off_ns": 60e6, "overhead": 0.01}}`}
+	for i := 0; i <= wallWindow; i++ {
+		recs = append(recs, `{"commit": "slow", "obs_overhead": {"cpus": 2, "gomaxprocs": 2, "off_ns": 380e6, "overhead": 0.01}}`)
+	}
+	for _, tc := range []struct {
+		recs []string
+		want int
+	}{{recs, 0}, {recs[:wallWindow+1], 1}} {
+		var out strings.Builder
+		bad, err := gate([]byte(`{"records": [`+strings.Join(tc.recs, ",")+`]}`), &out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bad != tc.want {
+			t.Fatalf("step %d records back: got %d violations, want %d:\n%s", len(tc.recs)-1, bad, tc.want, out.String())
+		}
+	}
+}
+
+// TestWallOtherHostNotCompared: wall times measured with a different cpus
+// (or gomaxprocs) value are not a baseline, in either direction — the
+// newest record is compared only against records of its own host shape.
+func TestWallOtherHostNotCompared(t *testing.T) {
+	for _, tc := range []struct {
+		name, doc string
+		want      int
+	}{
+		{"other cpus skipped", `{"records": [
+			{"commit": "aaaaaaa", "obs_overhead": {"cpus": 1, "gomaxprocs": 1, "off_ns": 58e6, "overhead": 0.01}},
+			{"commit": "bbbbbbb", "obs_overhead": {"cpus": 2, "gomaxprocs": 2, "off_ns": 380e6, "overhead": 0.01}}
+		]}`, 0},
+		{"other gomaxprocs skipped", `{"records": [
+			{"commit": "aaaaaaa", "obs_overhead": {"cpus": 2, "gomaxprocs": 1, "off_ns": 58e6, "overhead": 0.01}},
+			{"commit": "bbbbbbb", "obs_overhead": {"cpus": 2, "gomaxprocs": 2, "off_ns": 380e6, "overhead": 0.01}}
+		]}`, 0},
+		{"same shape behind another compared", `{"records": [
+			{"commit": "aaaaaaa", "obs_overhead": {"cpus": 2, "gomaxprocs": 2, "off_ns": 58e6, "overhead": 0.01}},
+			{"commit": "bbbbbbb", "obs_overhead": {"cpus": 1, "gomaxprocs": 1, "off_ns": 380e6, "overhead": 0.01}},
+			{"commit": "ccccccc", "obs_overhead": {"cpus": 2, "gomaxprocs": 2, "off_ns": 380e6, "overhead": 0.01}}
+		]}`, 1},
+	} {
+		var out strings.Builder
+		bad, err := gate([]byte(tc.doc), &out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bad != tc.want {
+			t.Errorf("%s: got %d violations, want %d:\n%s", tc.name, bad, tc.want, out.String())
+		}
+	}
+}
+
+// TestRecordLevelCpusFallback: early records carry cpus only at the record
+// level; a benchmark entry without its own cpus inherits it, and a missing
+// gomaxprocs means the Go default (= cpus).
+func TestRecordLevelCpusFallback(t *testing.T) {
+	var out strings.Builder
+	bad, err := gate([]byte(`{"records": [
+		{"commit": "aaaaaaa", "cpus": 1, "benchmarks": {
+			"BenchmarkFig8aJobFrequency": {"ns_op": 195e6},
+			"BenchmarkFig9Utilization": {"ns_op": 98e6}}},
+		{"commit": "bbbbbbb", "cpus": 1, "benchmarks": {
+			"BenchmarkFig8aJobFrequency": {"cpus": 1, "gomaxprocs": 1, "ns_op": 195e6},
+			"BenchmarkFig9Utilization": {"cpus": 1, "gomaxprocs": 1, "ns_op": 448e6}}}
+	]}`), &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bad != 1 {
+		t.Fatalf("records with inherited cpus 1 must be compared, got %d violations:\n%s", bad, out.String())
+	}
+}
+
 // TestAbsoluteBudget: absMax rules bound the newest record regardless of
 // history depth.
 func TestAbsoluteBudget(t *testing.T) {
 	var out strings.Builder
 	bad, err := gate([]byte(`{"records": [
-		{"commit": "aaaaaaa", "obs_overhead": {"overhead": 0.07}}
+		{"commit": "aaaaaaa", "obs_overhead": {"overhead": 0.07, "off_ns": 58e6}}
 	]}`), &out)
 	if err != nil {
 		t.Fatal(err)

@@ -34,6 +34,7 @@ var descriptions = map[string]string{
 	"kubeshare_apiserver_restarts_total":          "API server crash/restart cycles (chaos or operator driven).",
 	"kubeshare_apiserver_watches_total":           "Watch streams opened against the API server.",
 	"kubeshare_apiserver_write_requests_total":    "API server write (create/update/delete) requests served.",
+	"kubeshare_devlib_reconnect_retries_total":    "Kernel admissions retried under backoff because the device's sharing strategy was down (vGPU pod being replaced). Registered lazily on the first retry.",
 	"kubeshare_devlib_throttle_retries_total":     "Device-library token requests deferred by the throttle window.",
 	"kubeshare_devlib_token_grants_total":         "Tokens granted by the device library's sharing arbiter.",
 	"kubeshare_devlib_token_hold_ns_total":        "Virtual nanoseconds of token hold time, per device and tenant.",
