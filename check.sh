@@ -55,9 +55,10 @@ GOMAXPROCS=4 go test -race -run 'TestRestore|TestCheckpoint|TestTornTail|TestWat
 # path: engine/Algorithm-1 equivalence properties, transaction rollback,
 # batched-vs-sequential, conflict retry and gang all-or-nothing.
 GOMAXPROCS=4 go test -race ./internal/core/schedfw/...
-# The sharded store under the race detector on the multi-worker path: the
-# churn-vs-filtered-watch equivalence property and the label index.
-GOMAXPROCS=4 go test -race -run 'TestShard|TestIndex' ./internal/kube/store/
+# The single-lock store under the race detector on the multi-worker path:
+# the concurrent churn-vs-filtered-watch equivalence property, concurrent
+# readers against a writer, and the label index.
+GOMAXPROCS=4 go test -race -run 'TestConcurrent|TestIndex' ./internal/kube/store/
 # Smoke the kernel micro-benchmarks so a regression that only breaks bench
 # setup (not the unit tests) is caught here.
 go test ./internal/sim/ -run xxx -bench BenchmarkSimKernel -benchtime 1x
@@ -65,6 +66,10 @@ go test ./internal/sim/ -run xxx -bench BenchmarkSimKernel -benchtime 1x
 # admission, two tenants alternating on one device); the zero-allocation
 # budget itself is gated by TestTokenAdmissionAllocFree above.
 go test ./internal/devlib/ -run xxx -bench BenchmarkLayerDevlibLaunch -benchtime 1x
+# Smoke the store + WAL layer micro-benchmark (Create, Update, ListSelector,
+# Scan, WAL append per record, crash/replay per record) so a change that
+# breaks its setup fails here.
+go test ./internal/kube/store/ -run xxx -bench BenchmarkLayerStore -benchtime 1x
 # Smoke the residual-policy ablation: it drives frontends over the token
 # strategy from the backend registry with each sharing.ResidualPolicy, and
 # no unit test runs it.

@@ -147,10 +147,12 @@ func (s selector) String() string {
 	return strings.Join(parts, ",")
 }
 
-// Matches lets a plain Set act as a Selector.
+// Matches lets a plain Set act as a Selector. Like the Equals requirements
+// Requirements returns, every key must be present: Set{"k": ""} does not
+// match labels without k.
 func (s Set) Matches(labels map[string]string) bool {
 	for k, v := range s {
-		if labels[k] != v {
+		if got, ok := labels[k]; !ok || got != v {
 			return false
 		}
 	}

@@ -21,15 +21,15 @@ type expectedEv struct {
 	selMatch bool // labels matched app=a at delivery time
 }
 
-// TestShardChurnWatchEquivalence is the concurrency property test for the
-// sharded store: several goroutines churn disjoint key ranges across two
-// kinds (two shards) while filtered watches are live, under -race. Because
-// each key has exactly one writer, the per-key event sequence a single-lock
-// store would deliver is fully determined by that writer's op log — so every
-// watcher (per-kind, selector-filtered, and generic-prefix) must observe
-// exactly that sequence per key, with store-wide revisions strictly
-// increasing along it, regardless of how shards interleave.
-func TestShardChurnWatchEquivalence(t *testing.T) {
+// TestConcurrentChurnWatchEquivalence is the store's concurrency property
+// test: several goroutines churn disjoint key ranges across two kinds while
+// filtered watches are live, under -race. Because each key has exactly one
+// writer, the per-key event sequence a single-lock store delivers is fully
+// determined by that writer's op log — so every watcher (per-kind,
+// selector-filtered, and generic-prefix) must observe exactly that sequence
+// per key, with store-wide revisions strictly increasing along it,
+// regardless of how the writers interleave.
+func TestConcurrentChurnWatchEquivalence(t *testing.T) {
 	env := sim.NewEnv()
 	s := New(env)
 
@@ -41,7 +41,7 @@ func TestShardChurnWatchEquivalence(t *testing.T) {
 	)
 
 	// Live watches registered before the churn: per-kind, selector-filtered
-	// (Pod app=a), and a generic-prefix watch crossing both shards.
+	// (Pod app=a), and a generic-prefix watch crossing both kinds.
 	podQ := s.Watch("Pod/", false)
 	nodeQ := s.Watch("Node/", false)
 	selQ := s.WatchFiltered("Pod/", WatchOptions{
@@ -253,10 +253,10 @@ func TestShardChurnWatchEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardConcurrentReaders checks readers on one kind run against writers
-// on another without torn results: list/scan/selector answers on the read
-// side always reflect a committed prefix of the writer's op sequence.
-func TestShardConcurrentReaders(t *testing.T) {
+// TestConcurrentReaders checks readers on one kind run against a writer on
+// another goroutine without torn results: list/scan/selector answers on the
+// read side always reflect a committed prefix of the writer's op sequence.
+func TestConcurrentReaders(t *testing.T) {
 	env := sim.NewEnv()
 	s := New(env)
 	for i := 0; i < 64; i++ {
@@ -269,7 +269,7 @@ func TestShardConcurrentReaders(t *testing.T) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
-	go func() { // writer churns Nodes (another shard)
+	go func() { // writer churns Nodes (another kind)
 		defer wg.Done()
 		for i := 0; ; i++ {
 			select {

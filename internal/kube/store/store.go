@@ -9,26 +9,21 @@
 // Watches can be filtered server-side by kind, exact name and label
 // selector — subscribers never receive events they would discard.
 //
-// # Sharding and concurrency
+// # Concurrency
 //
-// Buckets are striped across NumShards shards by kind hash, each guarded by
-// its own RWMutex, so list/watch/scan traffic on disjoint kinds never
-// contends and readers (samplers, parallel scheduling phases, the serve
-// endpoints) run concurrently with each other and with a writer in another
-// shard. Revisions come from one global atomic counter — mutations in the
-// same shard serialize on the shard lock, so per-kind revision order is
-// monotonic — and each shard additionally tracks the last revision it
-// committed. Watch fan-out is per-shard: a mutation only visits its own
-// kind's watcher list (plus the rare generic-prefix watchers, under their
-// own lock). The resumable-watch history is global, under its own mutex;
-// entries from different shards may interleave slightly out of global
-// revision order, but per-kind order — the order a resuming subscriber
-// replays — is always commit order.
+// One mutex guards the whole store, and every public method takes it once.
+// Revision assignment, the WAL append, watch fan-out and the
+// resumable-watch history therefore commit as one step, so the history,
+// the log and every subscriber see mutations in exact revision order. The
+// simulation drives the store from one event queue and the serve endpoints
+// serialize their own handlers, so the lock is uncontended in practice; it
+// keeps the store safe for any caller that does share it across
+// goroutines. The lock is not re-entrant: callbacks the store runs under it
+// (Scan's fn, the WAL-append hook) must not call back into the store.
 //
-// Mutations and watch registration are goroutine-safe, with one rule: the
-// virtual clock must not advance while mutators run off the simulation
-// goroutine (Create reads env.Now), and generic-prefix watch registration
-// is simulation-goroutine-only.
+// Calls are goroutine-safe, with one rule: the virtual clock must not
+// advance while mutators run off the simulation goroutine (Create reads
+// env.Now).
 package store
 
 import (
@@ -37,7 +32,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"kubeshare/internal/kube/api"
 	"kubeshare/internal/kube/labels"
@@ -62,11 +56,6 @@ var (
 
 // DefaultHistoryCap bounds the event history kept for resumable watches.
 const DefaultHistoryCap = 4096
-
-// NumShards is the stripe count: buckets live in shard fnv(kind)%NumShards.
-// A small power of two keeps the fixed cost negligible while separating the
-// hot kinds (SharePod, Pod, Node, VGPU, Event) onto distinct locks.
-const NumShards = 16
 
 // EventType classifies watch events.
 type EventType string
@@ -124,12 +113,8 @@ type watcher struct {
 type bucket struct {
 	objs map[string]api.Object // name → stored object
 	// sorted caches the names in order; rebuilt lazily after create/delete.
-	// dirty is atomic and the rebuild is guarded by sortMu so concurrent
-	// readers (shard RLock holders) can race to rebuild safely: writers only
-	// set dirty under the shard's write lock, which excludes all readers.
 	sorted []string
-	sortMu sync.Mutex
-	dirty  atomic.Bool
+	dirty  bool
 	// byLabel is the posting index: label key → value → set of names.
 	byLabel map[string]map[string]map[string]struct{}
 	// watchers subscribed to exactly this kind.
@@ -144,21 +129,15 @@ func newBucket() *bucket {
 }
 
 // names returns the bucket's object names sorted, rebuilding the cache if
-// stale. Safe under the shard's read lock: the double-checked sortMu makes
-// concurrent rebuilds exclusive, and a false dirty load happens-after the
-// completed rebuild that cleared it.
+// stale.
 func (b *bucket) names() []string {
-	if b.dirty.Load() {
-		b.sortMu.Lock()
-		if b.dirty.Load() {
-			b.sorted = b.sorted[:0]
-			for n := range b.objs {
-				b.sorted = append(b.sorted, n)
-			}
-			sort.Strings(b.sorted)
-			b.dirty.Store(false)
+	if b.dirty {
+		b.sorted = b.sorted[:0]
+		for n := range b.objs {
+			b.sorted = append(b.sorted, n)
 		}
-		b.sortMu.Unlock()
+		sort.Strings(b.sorted)
+		b.dirty = false
 	}
 	return b.sorted
 }
@@ -195,31 +174,24 @@ func (b *bucket) unindexLabels(name string, lbls map[string]string) {
 	}
 }
 
-// shard is one stripe of the store: a slice of the kind space under its own
-// reader/writer lock, plus the stripe's last committed revision.
-type shard struct {
-	mu    sync.RWMutex
-	kinds map[string]*bucket
-	rev   int64 // last global revision committed in this shard (under mu)
-}
-
 // Store is the versioned object store.
 type Store struct {
-	env     *sim.Env
-	rev     atomic.Int64
-	nextUID atomic.Int64
-	shards  [NumShards]shard
+	env *sim.Env
 
-	// globalMu guards watchers whose prefix is not a plain "<Kind>/" — they
-	// are matched by string prefix against every mutation.
-	globalMu sync.Mutex
-	global   []*watcher
+	// mu guards every field below; each public method holds it throughout.
+	mu      sync.Mutex
+	rev     int64
+	nextUID int64
+	kinds   map[string]*bucket
 
-	// histMu guards the bounded mutation log backing resumable watches.
-	// Live entries are history[histHead:]; the head advances instead of
-	// shifting, with an amortized compaction once the dead prefix
-	// dominates. Entries own their Object copies.
-	histMu     sync.Mutex
+	// global holds watchers whose prefix is not a plain "<Kind>/" — they are
+	// matched by string prefix against every mutation.
+	global []*watcher
+
+	// history is the bounded mutation log backing resumable watches. Live
+	// entries are history[histHead:]; the head advances instead of shifting,
+	// with an amortized compaction once the dead prefix dominates. Entries
+	// own their Object copies.
 	history    []Event
 	histHead   int
 	histCap    int
@@ -231,43 +203,21 @@ type Store struct {
 	// checkpoint activity to the telemetry layer without the store
 	// importing obs.
 	dur          *Durable
-	epoch        atomic.Int64
+	epoch        int64
 	onWALAppend  func(records int)
 	onCheckpoint func(bytes int)
 }
 
 // New returns an empty store.
 func New(env *sim.Env) *Store {
-	s := &Store{env: env, histCap: DefaultHistoryCap}
-	for i := range s.shards {
-		s.shards[i].kinds = make(map[string]*bucket)
-	}
-	return s
+	return &Store{env: env, kinds: make(map[string]*bucket), histCap: DefaultHistoryCap}
 }
-
-// shardIndex stripes a kind across shards by FNV-1a hash.
-func shardIndex(kind string) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(kind); i++ {
-		h ^= uint32(kind[i])
-		h *= 16777619
-	}
-	return int(h % NumShards)
-}
-
-func (s *Store) shardFor(kind string) *shard { return &s.shards[shardIndex(kind)] }
 
 // Revision returns the store-wide revision of the last mutation.
-func (s *Store) Revision() int64 { return s.rev.Load() }
-
-// ShardRev returns the last revision committed in the kind's shard — the
-// per-shard counter the global revision folds over. A shard whose ShardRev
-// is unchanged has seen no mutation, which lets scans skip it.
-func (s *Store) ShardRev(kind string) int64 {
-	sh := s.shardFor(kind)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.rev
+func (s *Store) Revision() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.rev
 }
 
 // SetHistoryCap bounds the resumable-watch event history to n entries
@@ -275,18 +225,14 @@ func (s *Store) ShardRev(kind string) int64 {
 // before the compaction point return ErrGone. n <= 0 disables history, so
 // every resume relists.
 func (s *Store) SetHistoryCap(n int) {
-	s.histMu.Lock()
-	defer s.histMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.histCap = n
 	s.trimHistory()
 }
 
 // record appends a mutation to the history, taking ownership of ev.Object.
-// Callers hold the mutating shard's lock, so per-kind history order is
-// commit order even when shards append concurrently.
 func (s *Store) record(ev Event) {
-	s.histMu.Lock()
-	defer s.histMu.Unlock()
 	if s.histCap <= 0 {
 		if ev.Rev > s.compactRev {
 			s.compactRev = ev.Rev
@@ -315,28 +261,21 @@ func (s *Store) trimHistory() {
 	}
 }
 
-// bucketOf returns the kind's bucket, creating it if needed. Caller holds
-// the shard's write lock.
-func (sh *shard) bucketOf(kind string) *bucket {
-	b, ok := sh.kinds[kind]
+// bucketOf returns the kind's bucket, creating it if needed.
+func (s *Store) bucketOf(kind string) *bucket {
+	b, ok := s.kinds[kind]
 	if !ok {
 		b = newBucket()
-		sh.kinds[kind] = b
+		s.kinds[kind] = b
 	}
 	return b
 }
 
-// kindNames returns all kind names sorted (for generic-prefix scans),
-// visiting each shard under its read lock.
+// kindNames returns all kind names sorted (for generic-prefix scans).
 func (s *Store) kindNames() []string {
-	var out []string
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for k := range sh.kinds {
-			out = append(out, k)
-		}
-		sh.mu.RUnlock()
+	out := make([]string, 0, len(s.kinds))
+	for k := range s.kinds {
+		out = append(out, k)
 	}
 	sort.Strings(out)
 	return out
@@ -347,22 +286,22 @@ func (s *Store) kindNames() []string {
 func (s *Store) Create(obj api.Object) (api.Object, error) {
 	kind := obj.Kind()
 	name := obj.GetMeta().Name
-	sh := s.shardFor(kind)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	b := sh.bucketOf(kind)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	b := s.bucketOf(kind)
 	if _, ok := b.objs[name]; ok {
 		return nil, fmt.Errorf("%w: %s", ErrExists, api.Key(obj))
 	}
 	stored := obj.DeepCopyObject()
 	meta := stored.GetMeta()
-	rv := s.rev.Add(1)
-	sh.rev = rv
+	s.rev++
+	s.nextUID++
+	rv := s.rev
 	meta.ResourceVersion = rv
-	meta.UID = fmt.Sprintf("uid-%d", s.nextUID.Add(1))
+	meta.UID = fmt.Sprintf("uid-%d", s.nextUID)
 	meta.CreationTime = s.env.Now()
 	b.objs[name] = stored
-	b.dirty.Store(true)
+	b.dirty = true
 	b.indexLabels(name, meta.Labels)
 	s.notify(b, Event{Added, stored.DeepCopyObject(), rv})
 	return stored.DeepCopyObject(), nil
@@ -388,10 +327,9 @@ func (s *Store) UpdateStatus(obj api.Object) (api.Object, error) {
 func (s *Store) update(obj api.Object, statusOnly bool) (api.Object, error) {
 	kind := obj.Kind()
 	name := obj.GetMeta().Name
-	sh := s.shardFor(kind)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	b := sh.bucketOf(kind)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	b := s.bucketOf(kind)
 	cur, ok := b.objs[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, api.Key(obj))
@@ -416,8 +354,8 @@ func (s *Store) update(obj api.Object, statusOnly bool) (api.Object, error) {
 		stored = obj.DeepCopyObject()
 	}
 	meta := stored.GetMeta()
-	rv := s.rev.Add(1)
-	sh.rev = rv
+	s.rev++
+	rv := s.rev
 	meta.ResourceVersion = rv
 	meta.UID = curMeta.UID
 	meta.CreationTime = curMeta.CreationTime
@@ -430,37 +368,26 @@ func (s *Store) update(obj api.Object, statusOnly bool) (api.Object, error) {
 
 // Delete removes the object by key.
 func (s *Store) Delete(kind, name string) error {
-	sh := s.shardFor(kind)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	b := sh.bucketOf(kind)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	b := s.bucketOf(kind)
 	cur, ok := b.objs[name]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, api.KeyOf(kind, name))
 	}
 	delete(b.objs, name)
-	b.dirty.Store(true)
+	b.dirty = true
 	b.unindexLabels(name, cur.GetMeta().Labels)
-	rv := s.rev.Add(1)
-	sh.rev = rv
-	s.notify(b, Event{Deleted, cur.DeepCopyObject(), rv})
+	s.rev++
+	s.notify(b, Event{Deleted, cur.DeepCopyObject(), s.rev})
 	return nil
-}
-
-// lookup returns the kind's bucket under the shard's read lock; the caller
-// must invoke rel() when done with the bucket.
-func (s *Store) lookup(kind string) (b *bucket, rel func()) {
-	sh := s.shardFor(kind)
-	sh.mu.RLock()
-	b = sh.kinds[kind]
-	return b, sh.mu.RUnlock
 }
 
 // Get returns a deep copy of the object by key.
 func (s *Store) Get(kind, name string) (api.Object, error) {
-	b, rel := s.lookup(kind)
-	defer rel()
-	if b != nil {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if b := s.kinds[kind]; b != nil {
 		if obj, ok := b.objs[name]; ok {
 			return obj.DeepCopyObject(), nil
 		}
@@ -470,9 +397,9 @@ func (s *Store) Get(kind, name string) (api.Object, error) {
 
 // Count returns the number of objects of a kind without copying them.
 func (s *Store) Count(kind string) int {
-	b, rel := s.lookup(kind)
-	defer rel()
-	if b != nil {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if b := s.kinds[kind]; b != nil {
 		return len(b.objs)
 	}
 	return 0
@@ -480,31 +407,28 @@ func (s *Store) Count(kind string) int {
 
 // List returns deep copies of all objects whose key has the given prefix
 // (typically "<Kind>/"), sorted by key for determinism. A "<Kind>/..."
-// prefix is answered from the kind's index in O(matching), holding only
-// that kind's shard lock. Generic prefixes visit shards one at a time, so
-// under concurrent mutation the result is per-kind consistent, not a global
-// snapshot.
+// prefix is answered from the kind's index in O(matching).
 func (s *Store) List(prefix string) []api.Object {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.list(prefix)
+}
+
+// list is List under the held lock.
+func (s *Store) list(prefix string) []api.Object {
 	if kind, namePrefix, ok := splitPrefix(prefix); ok {
-		b, rel := s.lookup(kind)
-		defer rel()
-		if b == nil {
-			return nil
+		if b := s.kinds[kind]; b != nil {
+			return b.list(namePrefix)
 		}
-		return b.list(namePrefix)
+		return nil
 	}
 	// Generic prefix ("" or a partial kind name): walk matching kinds in
 	// key order.
 	var out []api.Object
 	for _, kind := range s.kindNames() {
-		if !strings.HasPrefix(kind+"/", prefix) {
-			continue
+		if strings.HasPrefix(kind+"/", prefix) {
+			out = append(out, s.kinds[kind].list("")...)
 		}
-		b, rel := s.lookup(kind)
-		if b != nil {
-			out = append(out, b.list("")...)
-		}
-		rel()
 	}
 	return out
 }
@@ -529,11 +453,13 @@ func (b *bucket) list(namePrefix string) []api.Object {
 // instances: fn must treat them as read-only and must not retain them after
 // returning — mutations or retained references would corrupt the store's
 // copy-on-write discipline. Intended for samplers and aggregate metrics that
-// would otherwise deep-copy the world once per tick. Scan holds only the
-// kind's shard read lock, so scans of disjoint kinds run concurrently.
+// would otherwise deep-copy the world once per tick. fn runs under the
+// store's lock, which is not re-entrant: it must not call back into the
+// store.
 func (s *Store) Scan(kind string, fn func(api.Object) bool) {
-	b, rel := s.lookup(kind)
-	defer rel()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	b := s.kinds[kind]
 	if b == nil {
 		return
 	}
@@ -548,8 +474,9 @@ func (s *Store) Scan(kind string, fn func(api.Object) bool) {
 // sel, sorted by name. Equality and existence requirements are answered
 // from the label posting index; the smallest posting set drives the scan.
 func (s *Store) ListSelector(kind string, sel labels.Selector) []api.Object {
-	b, rel := s.lookup(kind)
-	defer rel()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	b := s.kinds[kind]
 	if b == nil {
 		return nil
 	}
@@ -646,31 +573,18 @@ func (s *Store) Watch(prefix string, replay bool) *sim.Queue[Event] {
 // Replay delivers the currently matching objects as Added events. The
 // filters run in the store, so subscribers never pay for events they would
 // discard — the kube way of keeping watch fan-out O(interested parties).
-// Kind-scoped registration (replay + subscribe) is atomic under the kind's
-// shard lock, so no mutation is missed or duplicated across the boundary.
+// Registration (replay + subscribe) is atomic under the store lock, so no
+// mutation is missed or duplicated across the boundary.
 func (s *Store) WatchFiltered(prefix string, opts WatchOptions, replay bool) *sim.Queue[Event] {
 	w := &watcher{prefix: prefix, opts: opts, queue: sim.NewQueue[Event](s.env)}
-	if kind, namePrefix, ok := splitPrefix(prefix); ok && namePrefix == "" {
-		sh := s.shardFor(kind)
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		b := sh.bucketOf(kind)
-		if replay {
-			for _, obj := range replayBucket(b, opts) {
-				w.queue.Put(Event{Added, obj, obj.GetMeta().ResourceVersion})
-			}
-		}
-		b.watchers = append(b.watchers, w)
-		return w.queue
-	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if replay {
 		for _, obj := range s.replaySet(prefix, opts) {
 			w.queue.Put(Event{Added, obj, obj.GetMeta().ResourceVersion})
 		}
 	}
-	s.globalMu.Lock()
-	s.global = append(s.global, w)
-	s.globalMu.Unlock()
+	s.subscribe(w)
 	return w.queue
 }
 
@@ -681,28 +595,20 @@ func (s *Store) WatchFiltered(prefix string, opts WatchOptions, replay bool) *si
 // predates the compaction horizon the gap is unrecoverable and ErrGone is
 // returned; the subscriber must relist and start fresh.
 func (s *Store) WatchFilteredFrom(prefix string, opts WatchOptions, fromRev int64) (*sim.Queue[Event], error) {
-	w := &watcher{prefix: prefix, opts: opts, queue: sim.NewQueue[Event](s.env)}
-	kind, namePrefix, kindScoped := splitPrefix(prefix)
-	kindScoped = kindScoped && namePrefix == ""
-	var sh *shard
-	if kindScoped {
-		// Hold the shard lock across replay + subscribe so a concurrent
-		// mutation is either in the replayed history or delivered live.
-		sh = s.shardFor(kind)
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-	}
-	if rev := s.rev.Load(); fromRev > rev {
+	// The store lock spans replay + subscribe, so a concurrent mutation is
+	// either in the replayed history or delivered live.
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if fromRev > s.rev {
 		// The subscriber observed a revision the store no longer has — a
 		// torn-tail restore reverted mutations it saw. Its cache may hold
 		// phantom state; only a relist can reconcile it.
-		return nil, fmt.Errorf("%w: from %d, store at %d (reverted by restore)", ErrGone, fromRev, rev)
+		return nil, fmt.Errorf("%w: from %d, store at %d (reverted by restore)", ErrGone, fromRev, s.rev)
 	}
-	s.histMu.Lock()
 	if fromRev < s.compactRev {
-		s.histMu.Unlock()
 		return nil, fmt.Errorf("%w: from %d, compacted through %d", ErrGone, fromRev, s.compactRev)
 	}
+	w := &watcher{prefix: prefix, opts: opts, queue: sim.NewQueue[Event](s.env)}
 	for _, ev := range s.history[s.histHead:] {
 		if ev.Rev <= fromRev {
 			continue
@@ -713,16 +619,19 @@ func (s *Store) WatchFilteredFrom(prefix string, opts WatchOptions, fromRev int6
 		}
 		w.queue.Put(Event{ev.Type, ev.Object.DeepCopyObject(), ev.Rev})
 	}
-	s.histMu.Unlock()
-	if kindScoped {
-		b := sh.bucketOf(kind)
-		b.watchers = append(b.watchers, w)
-	} else {
-		s.globalMu.Lock()
-		s.global = append(s.global, w)
-		s.globalMu.Unlock()
-	}
+	s.subscribe(w)
 	return w.queue, nil
+}
+
+// subscribe registers w: in its kind's bucket when the prefix is a plain
+// "<Kind>/", else among the generic-prefix watchers.
+func (s *Store) subscribe(w *watcher) {
+	if kind, namePrefix, ok := splitPrefix(w.prefix); ok && namePrefix == "" {
+		b := s.bucketOf(kind)
+		b.watchers = append(b.watchers, w)
+		return
+	}
+	s.global = append(s.global, w)
 }
 
 // replayBucket lists the objects a kind-scoped filtered watch replays from
@@ -744,10 +653,17 @@ func replayBucket(b *bucket, opts WatchOptions) []api.Object {
 	return b.list("")
 }
 
-// replaySet lists the objects a generic-prefix filtered watch replays.
+// replaySet lists the objects a filtered watch replays, under the held
+// lock. A plain "<Kind>/" prefix is answered from the kind's indexes.
 func (s *Store) replaySet(prefix string, opts WatchOptions) []api.Object {
+	if kind, namePrefix, ok := splitPrefix(prefix); ok && namePrefix == "" {
+		if b := s.kinds[kind]; b != nil {
+			return replayBucket(b, opts)
+		}
+		return nil
+	}
 	var out []api.Object
-	for _, obj := range s.List(prefix) {
+	for _, obj := range s.list(prefix) {
 		if opts.matches(obj.GetMeta().Name, obj.GetMeta().Labels) {
 			out = append(out, obj)
 		}
@@ -757,38 +673,36 @@ func (s *Store) replaySet(prefix string, opts WatchOptions) []api.Object {
 
 // StopWatch cancels a subscription created by Watch and closes its queue.
 func (s *Store) StopWatch(q *sim.Queue[Event]) {
-	s.globalMu.Lock()
-	for i, w := range s.global {
-		if w.queue == q {
-			s.global = append(s.global[:i], s.global[i+1:]...)
-			s.globalMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if removeWatcher(&s.global, q) {
+		q.Close()
+		return
+	}
+	for _, b := range s.kinds {
+		if removeWatcher(&b.watchers, q) {
 			q.Close()
 			return
 		}
 	}
-	s.globalMu.Unlock()
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for _, b := range sh.kinds {
-			for i, w := range b.watchers {
-				if w.queue == q {
-					b.watchers = append(b.watchers[:i], b.watchers[i+1:]...)
-					sh.mu.Unlock()
-					q.Close()
-					return
-				}
-			}
+}
+
+// removeWatcher deletes q's watcher from *ws, reporting whether it was there.
+func removeWatcher(ws *[]*watcher, q *sim.Queue[Event]) bool {
+	for i, w := range *ws {
+		if w.queue == q {
+			*ws = append((*ws)[:i], (*ws)[i+1:]...)
+			return true
 		}
-		sh.mu.Unlock()
 	}
+	return false
 }
 
 // notify fans an event out to the kind's watchers and any generic-prefix
 // watchers, then records it into the resumable history (which takes
 // ownership of ev.Object). Each subscriber gets its own copy so mutation
-// never leaks between consumers. Callers hold the kind's shard write lock,
-// which orders deliveries per kind; lock order is shard → global → history.
+// never leaks between consumers. Callers hold the store lock, so the WAL,
+// every subscriber and the history see mutations in revision order.
 func (s *Store) notify(b *bucket, ev Event) {
 	s.logMutation(ev)
 	meta := ev.Object.GetMeta()
@@ -797,7 +711,6 @@ func (s *Store) notify(b *bucket, ev Event) {
 			w.queue.Put(Event{ev.Type, ev.Object.DeepCopyObject(), ev.Rev})
 		}
 	}
-	s.globalMu.Lock()
 	if len(s.global) > 0 {
 		key := api.Key(ev.Object)
 		for _, w := range s.global {
@@ -806,6 +719,5 @@ func (s *Store) notify(b *bucket, ev Event) {
 			}
 		}
 	}
-	s.globalMu.Unlock()
 	s.record(ev)
 }

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"kubeshare/internal/kube/api"
+	"kubeshare/internal/kube/labels"
 	"kubeshare/internal/sim"
 )
 
@@ -207,6 +208,41 @@ func TestStopWatchClosesQueue(t *testing.T) {
 		t.Fatal("watch queue not closed")
 	}
 	s.Create(pod("a")) // must not panic (watcher removed)
+}
+
+// TestSetSelectorWatchAgreesWithList: a labels.Set with an empty value must
+// select the same objects through a filtered watch (Matches) as through
+// ListSelector (the Requirements index) — an object without the key is in
+// neither.
+func TestSetSelectorWatchAgreesWithList(t *testing.T) {
+	env := sim.NewEnv()
+	s := New(env)
+	sel := labels.Set{"tier": ""}
+	q := s.WatchFiltered("Pod/", WatchOptions{Selector: sel}, false)
+	for name, lbls := range map[string]map[string]string{
+		"no-tier":    {"app": "a"},
+		"empty-tier": {"tier": ""},
+		"web-tier":   {"tier": "web"},
+	} {
+		p := pod(name)
+		p.Labels = lbls
+		if _, err := s.Create(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var listed, watched []string
+	for _, obj := range s.ListSelector("Pod", sel) {
+		listed = append(listed, obj.GetMeta().Name)
+	}
+	for ev, ok := q.TryGet(); ok; ev, ok = q.TryGet() {
+		watched = append(watched, ev.Object.GetMeta().Name)
+	}
+	if len(listed) != 1 || listed[0] != "empty-tier" {
+		t.Fatalf("ListSelector(%v) = %v, want [empty-tier]", sel, listed)
+	}
+	if len(watched) != 1 || watched[0] != "empty-tier" {
+		t.Fatalf("WatchFiltered(%v) delivered %v, ListSelector returned %v", sel, watched, listed)
+	}
 }
 
 // Property: resource versions strictly increase over any mutation sequence.

@@ -5,9 +5,9 @@
 // checkpoint file a real control plane fsyncs — it survives a Store crash
 // because Crash only discards the in-memory object state and rebuilds it
 // from the medium. Every mutation appends one framed record
-// ([len][crc32][JSON payload]) under its shard lock, so per-kind record
-// order is commit order; a checkpoint serializes the whole store under all
-// shard locks and truncates the log.
+// ([len][crc32][JSON payload]) under the store lock that assigns its
+// revision, so record order is revision order; a checkpoint serializes the
+// whole store under that lock and truncates the log.
 //
 // Restore loads the checkpoint, then replays the log in frame order. A torn
 // tail — a truncated or corrupt final region, the crash-mid-write case — is
@@ -27,7 +27,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"sort"
 	"sync"
 
 	"kubeshare/internal/kube/api"
@@ -85,6 +84,8 @@ func (d *Durable) Sizes() (checkpointBytes, walBytes int, walRecords int64) {
 // DurableSizes is Durable.Sizes through the store (zeroes with durability
 // off).
 func (s *Store) DurableSizes() (checkpointBytes, walBytes int, walRecords int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.dur == nil {
 		return 0, 0, 0
 	}
@@ -101,10 +102,9 @@ type checkpointKind struct {
 // every object, grouped by kind (kinds sorted, objects name-sorted), so the
 // encoding is byte-deterministic for a given store state.
 type checkpointState struct {
-	Rev       int64
-	NextUID   int64
-	ShardRevs [NumShards]int64
-	Kinds     []checkpointKind
+	Rev     int64
+	NextUID int64
+	Kinds   []checkpointKind
 }
 
 // RestoreStats describes one crash/restore cycle.
@@ -136,31 +136,41 @@ type RestoreStats struct {
 // restore everything (enabling on a non-empty store is the common case: the
 // cluster wires its nodes first). Hooks observe the layer for telemetry:
 // onAppend fires per batch of WAL records, onCheckpoint per checkpoint with
-// the bytes written; either may be nil. Idempotent: re-enabling keeps the
+// the bytes written; either may be nil. onAppend runs under the store lock
+// and must not call back into the store. Idempotent: re-enabling keeps the
 // existing medium.
 func (s *Store) EnableDurability(onAppend func(records int), onCheckpoint func(bytes int)) {
+	s.mu.Lock()
 	if s.dur != nil {
+		s.mu.Unlock()
 		return
 	}
 	s.onWALAppend = onAppend
 	s.onCheckpoint = onCheckpoint
 	s.dur = &Durable{}
+	s.mu.Unlock()
 	s.Checkpoint()
 }
 
 // DurabilityEnabled reports whether the store has a durable medium.
-func (s *Store) DurabilityEnabled() bool { return s.dur != nil }
+func (s *Store) DurabilityEnabled() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.dur != nil
+}
 
 // Epoch counts crash/restore cycles. Consumers (reflectors, schedulers)
 // compare epochs across reconnects: a changed epoch means in-memory server
 // state they depended on — watch registrations, possibly torn-tail-reverted
 // mutations — did not survive, and they must relist rather than resume.
-func (s *Store) Epoch() int64 { return s.epoch.Load() }
+func (s *Store) Epoch() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.epoch
+}
 
-// logMutation appends one framed record for ev. Callers hold the mutating
-// shard's lock, so per-kind frame order is commit order (frames from other
-// shards may interleave, which replay tolerates: records only ever touch
-// their own kind, and revision restoration folds with max).
+// logMutation appends one framed record for ev. Callers hold the store
+// lock, so frame order is revision order.
 func (s *Store) logMutation(ev Event) {
 	if s.dur == nil {
 		return
@@ -195,30 +205,29 @@ func (s *Store) logMutation(ev Event) {
 }
 
 // Checkpoint serializes the whole store to the durable medium and truncates
-// the WAL. It runs under every shard's write lock (taken in index order),
-// so the image is a consistent cut: the global revision equals the max
-// committed revision across shards and no mutation straddles the boundary.
-// Returns the checkpoint size in bytes (0 when durability is off).
+// the WAL. It runs under the store lock, so the image is a consistent cut:
+// no mutation straddles the boundary. Returns the checkpoint size in bytes
+// (0 when durability is off).
 func (s *Store) Checkpoint() int {
+	n, hook := s.writeCheckpoint()
+	if hook != nil {
+		hook(n)
+	}
+	return n
+}
+
+// writeCheckpoint is Checkpoint under the store lock. It returns the image
+// size and the checkpoint hook, which the caller runs after the lock is
+// released.
+func (s *Store) writeCheckpoint() (int, func(bytes int)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.dur == nil {
-		return 0
+		return 0, nil
 	}
-	for i := range s.shards {
-		s.shards[i].mu.Lock()
-	}
-	ck := checkpointState{Rev: s.rev.Load(), NextUID: s.nextUID.Load()}
-	for i := range s.shards {
-		ck.ShardRevs[i] = s.shards[i].rev
-	}
-	var kinds []string
-	for i := range s.shards {
-		for k := range s.shards[i].kinds {
-			kinds = append(kinds, k)
-		}
-	}
-	sort.Strings(kinds)
-	for _, kind := range kinds {
-		b := s.shards[shardIndex(kind)].kinds[kind]
+	ck := checkpointState{Rev: s.rev, NextUID: s.nextUID}
+	for _, kind := range s.kindNames() {
+		b := s.kinds[kind]
 		ks := checkpointKind{Kind: kind}
 		for _, name := range b.names() {
 			obj, err := json.Marshal(b.objs[name])
@@ -233,19 +242,13 @@ func (s *Store) Checkpoint() int {
 	if err != nil {
 		panic(fmt.Sprintf("store: checkpoint encode: %v", err))
 	}
-	for i := len(s.shards) - 1; i >= 0; i-- {
-		s.shards[i].mu.Unlock()
-	}
 	d := s.dur
 	d.mu.Lock()
 	d.checkpoint = image
 	d.wal = d.wal[:0]
 	d.records = 0
 	d.mu.Unlock()
-	if s.onCheckpoint != nil {
-		s.onCheckpoint(len(image))
-	}
-	return len(image)
+	return len(image), s.onCheckpoint
 }
 
 // TearWALTail damages the durable log's tail — the chaos hook simulating a
@@ -253,6 +256,8 @@ func (s *Store) Checkpoint() int {
 // the final byte in place (a CRC failure). Reports whether there was any
 // log to damage.
 func (s *Store) TearWALTail(n int) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.dur == nil {
 		return false
 	}
@@ -282,33 +287,25 @@ func (s *Store) TearWALTail(n int) bool {
 // crash gets ErrGone and relists. Returns an error only when durability was
 // never enabled.
 func (s *Store) Crash() (RestoreStats, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.dur == nil {
 		return RestoreStats{}, fmt.Errorf("store: Crash without durability enabled")
 	}
 	// 1. Tear down: collect every watch queue, clear all object state.
 	var doomed []*sim.Queue[Event]
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for _, b := range sh.kinds {
-			for _, w := range b.watchers {
-				doomed = append(doomed, w.queue)
-			}
+	for _, b := range s.kinds {
+		for _, w := range b.watchers {
+			doomed = append(doomed, w.queue)
 		}
-		sh.kinds = make(map[string]*bucket)
-		sh.rev = 0
-		sh.mu.Unlock()
 	}
-	s.globalMu.Lock()
 	for _, w := range s.global {
 		doomed = append(doomed, w.queue)
 	}
+	s.kinds = make(map[string]*bucket)
 	s.global = nil
-	s.globalMu.Unlock()
-	s.histMu.Lock()
 	s.history = nil
 	s.histHead = 0
-	s.histMu.Unlock()
 
 	// 2. Read the medium back, validating the WAL and truncating a torn
 	// tail in place.
@@ -338,9 +335,7 @@ func (s *Store) Crash() (RestoreStats, error) {
 	maxRev := ck.Rev
 	nextUID := ck.NextUID
 	for _, ks := range ck.Kinds {
-		sh := s.shardFor(ks.Kind)
-		sh.mu.Lock()
-		b := sh.bucketOf(ks.Kind)
+		b := s.bucketOf(ks.Kind)
 		for _, raw := range ks.Objects {
 			obj, err := decodeObject(ks.Kind, raw)
 			if err != nil {
@@ -350,13 +345,7 @@ func (s *Store) Crash() (RestoreStats, error) {
 			b.objs[meta.Name] = obj
 			b.indexLabels(meta.Name, meta.Labels)
 		}
-		b.dirty.Store(true)
-		sh.mu.Unlock()
-	}
-	for i := range s.shards {
-		s.shards[i].mu.Lock()
-		s.shards[i].rev = ck.ShardRevs[i]
-		s.shards[i].mu.Unlock()
+		b.dirty = true
 	}
 
 	// 4. WAL replay over the valid prefix.
@@ -369,9 +358,7 @@ func (s *Store) Crash() (RestoreStats, error) {
 		if err := json.Unmarshal(payload, &rec); err != nil {
 			panic("store: validated wal record failed to decode") // validateWAL checked this
 		}
-		sh := s.shardFor(rec.Kind)
-		sh.mu.Lock()
-		b := sh.bucketOf(rec.Kind)
+		b := s.bucketOf(rec.Kind)
 		switch rec.Op {
 		case walPut:
 			obj, err := decodeObject(rec.Kind, rec.Obj)
@@ -393,29 +380,24 @@ func (s *Store) Crash() (RestoreStats, error) {
 				delete(b.objs, rec.Name)
 			}
 		}
-		b.dirty.Store(true)
-		if rec.Rev > sh.rev {
-			sh.rev = rec.Rev
-		}
-		sh.mu.Unlock()
+		b.dirty = true
 		if rec.Rev > maxRev {
 			maxRev = rec.Rev
 		}
 		st.Replayed++
 	}
 
-	// 5. Counters resume strictly above everything restored: the global
-	// revision is the max over the checkpoint cut and every replayed
-	// record, so the next mutation's revision exceeds every shard's.
-	s.rev.Store(maxRev)
-	s.nextUID.Store(nextUID)
-	s.histMu.Lock()
+	// 5. Counters resume strictly above everything restored: the revision
+	// is the max over the checkpoint cut and every replayed record, so the
+	// next mutation's revision exceeds every restored one.
+	s.rev = maxRev
+	s.nextUID = nextUID
 	s.compactRev = maxRev
-	s.histMu.Unlock()
-	s.epoch.Add(1)
+	s.epoch++
 
 	// 6. Close the dead queues last (closing wakes parked consumers, whose
-	// reconnects must observe the fully restored state).
+	// reconnects run after this call returns and so observe the fully
+	// restored state).
 	for _, q := range doomed {
 		q.Close()
 	}

@@ -11,9 +11,7 @@ import (
 	"kubeshare/internal/simrand"
 )
 
-// testKinds are the registered kinds the durability tests churn over; they
-// hash to distinct shards often enough to exercise the per-shard revision
-// restoration.
+// testKinds are the registered kinds the durability tests churn over.
 var testKinds = []string{"Pod", "Node", api.KindEvent, "ReplicationController"}
 
 func newTestObj(kind, name string, labels map[string]string) api.Object {
@@ -59,15 +57,9 @@ func churn(t *testing.T, s *Store, rng *simrand.Source, n int) {
 }
 
 // fingerprint captures everything the monotonicity property compares:
-// global revision, per-shard revisions, and every object's key, UID,
-// version and labels.
+// the store revision and every object's key, UID, version and labels.
 func fingerprint(s *Store) string {
 	out := fmt.Sprintf("rev=%d", s.Revision())
-	for i := range s.shards {
-		s.shards[i].mu.RLock()
-		out += fmt.Sprintf(" sh%d=%d", i, s.shards[i].rev)
-		s.shards[i].mu.RUnlock()
-	}
 	for _, kind := range testKinds {
 		for _, obj := range s.List(kind + "/") {
 			m := obj.GetMeta()
@@ -80,9 +72,8 @@ func fingerprint(s *Store) string {
 // TestRestoreComposesWithChurn is the revision-monotonicity property test:
 // (churn → checkpoint/crash/restore interleaved) must be indistinguishable
 // from uninterrupted live churn — same objects, same UIDs, same
-// ResourceVersions, same per-shard and global revisions — and the global
-// revision must resume strictly above the checkpoint's max across all
-// shards, so post-restore mutations never reuse a revision.
+// ResourceVersions, same store revision — and the revision must resume at
+// exactly the pre-crash value, so post-restore mutations never reuse one.
 func TestRestoreComposesWithChurn(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		env := sim.NewEnv()
@@ -108,15 +99,6 @@ func TestRestoreComposesWithChurn(t *testing.T) {
 			if st.RestoredRev != before {
 				t.Fatalf("seed %d round %d: restored rev %d != pre-crash rev %d (clean log must lose nothing)",
 					seed, round, st.RestoredRev, before)
-			}
-			for i := range durable.shards {
-				durable.shards[i].mu.RLock()
-				shRev := durable.shards[i].rev
-				durable.shards[i].mu.RUnlock()
-				if shRev > st.RestoredRev {
-					t.Fatalf("seed %d round %d: shard %d rev %d above restored global %d",
-						seed, round, i, shRev, st.RestoredRev)
-				}
 			}
 		}
 		if got, want := fingerprint(durable), fingerprint(live); got != want {
