@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"kubeshare/internal/core"
+	"kubeshare/internal/core/oracle"
 	"kubeshare/internal/cuda"
 	"kubeshare/internal/devlib"
 	"kubeshare/internal/devlib/sharing"
@@ -287,13 +288,16 @@ func BenchmarkFig13AntiAffinity(b *testing.B) {
 
 // BenchmarkAblationPlacement compares Algorithm 1's paper placement policy
 // (best fit + worst fit) against alternatives on a synthetic request mix,
-// reporting how many devices each policy ends up using.
+// reporting how many devices each policy ends up using. The alternative
+// policies exist only in the reference Algorithm 1 (package oracle), which
+// the production schedfw.Schedule is property-tested against under the
+// paper policy.
 func BenchmarkAblationPlacement(b *testing.B) {
-	policies := map[string]core.PlacementPolicy{
-		"paper-best+worst": core.PaperPolicy,
-		"best+best":        core.BestBest,
-		"worst+worst":      core.WorstWorst,
-		"first-fit":        core.FirstFit,
+	policies := map[string]oracle.PlacementPolicy{
+		"paper-best+worst": oracle.PaperPolicy,
+		"best+best":        oracle.BestBest,
+		"worst+worst":      oracle.WorstWorst,
+		"first-fit":        oracle.FirstFit,
 	}
 	for name, policy := range policies {
 		b.Run(name, func(b *testing.B) {
@@ -312,7 +316,7 @@ func BenchmarkAblationPlacement(b *testing.B) {
 					case 4:
 						r.Anti = "spread"
 					}
-					core.ScheduleWithPolicy(r, pool, policy)
+					oracle.ScheduleWithPolicy(r, pool, policy)
 				}
 				devices = float64(len(pool.Devices))
 			}

@@ -6,6 +6,8 @@
 set -ex
 go build ./...
 go vet ./...
+# Every Go file must be gofmt-clean.
+test -z "$(gofmt -l .)"
 # Determinism vet: simulation code must not read the wall clock, print to
 # stdout, or use the global RNG; metric names must be kubeshare_-prefixed
 # snake_case with label keys from the bounded vocabulary; every registered
@@ -52,7 +54,8 @@ GOMAXPROCS=4 go test -race ./internal/chaos/
 # goldens across restart + drop.
 GOMAXPROCS=4 go test -race -run 'TestRestore|TestCheckpoint|TestTornTail|TestWatchFencing|TestCrash|TestReflector|TestResume|TestEventSinkRestart' ./internal/kube/store/ ./internal/kube/apiserver/
 # Scheduling-framework suite under the race detector on the multi-worker
-# path: engine/Algorithm-1 equivalence properties, transaction rollback,
+# path: the Schedule-vs-reference Algorithm 1 equivalence property, the
+# allocation-free NoCapacity decision, transaction rollback,
 # batched-vs-sequential, conflict retry and gang all-or-nothing.
 GOMAXPROCS=4 go test -race ./internal/core/schedfw/...
 # The single-lock store under the race detector on the multi-worker path:
@@ -62,6 +65,11 @@ GOMAXPROCS=4 go test -race -run 'TestConcurrent|TestIndex' ./internal/kube/store
 # Smoke the kernel micro-benchmarks so a regression that only breaks bench
 # setup (not the unit tests) is caught here.
 go test ./internal/sim/ -run xxx -bench BenchmarkSimKernel -benchtime 1x
+# Smoke the schedfw layer micro-benchmarks (one Algorithm 1 decision per
+# op at 1024 and 10240 devices, and the Figure 11 pool sizes); the
+# zero-allocation NoCapacity budget is gated by
+# TestScheduleNoCapacityAllocFree above.
+go test ./internal/core/schedfw/ -run xxx -bench 'BenchmarkLayerSchedule|BenchmarkAlgorithm1' -benchtime 1x
 # Smoke the devlib layer micro-benchmark (per-kernel-launch token
 # admission, two tenants alternating on one device); the zero-allocation
 # budget itself is gated by TestTokenAdmissionAllocFree above.

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"fmt"
@@ -6,7 +6,13 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	. "kubeshare/internal/core"
+	"kubeshare/internal/core/oracle"
 )
+
+// These are the reference Algorithm 1's own tests; schedfw's equivalence
+// property ties the production Schedule to it.
 
 // testPool builds a pool with free physical GPUs and a serial id generator.
 func testPool(freePerNode map[string]int) *Pool {
@@ -32,7 +38,7 @@ func TestScheduleBestFitPacksTightest(t *testing.T) {
 		dev("d-loose", "n0", 0.9, 0.9),
 		dev("d-tight", "n0", 0.3, 0.3),
 	}
-	got := Schedule(Request{Util: 0.25, Mem: 0.25}, pool)
+	got := oracle.Schedule(Request{Util: 0.25, Mem: 0.25}, pool)
 	if got.Outcome != Assigned || got.GPUID != "d-tight" {
 		t.Fatalf("decision = %+v, want best-fit d-tight", got)
 	}
@@ -45,7 +51,7 @@ func TestScheduleBestFitPacksTightest(t *testing.T) {
 func TestSchedulePrefersExistingOverNew(t *testing.T) {
 	pool := testPool(map[string]int{"n0": 3})
 	pool.Devices = []*DeviceState{dev("d0", "n0", 0.5, 0.5)}
-	got := Schedule(Request{Util: 0.4, Mem: 0.4}, pool)
+	got := oracle.Schedule(Request{Util: 0.4, Mem: 0.4}, pool)
 	if got.Outcome != Assigned || got.GPUID != "d0" {
 		t.Fatalf("decision = %+v, want existing d0", got)
 	}
@@ -54,7 +60,7 @@ func TestSchedulePrefersExistingOverNew(t *testing.T) {
 func TestScheduleNewDeviceWhenNothingFits(t *testing.T) {
 	pool := testPool(map[string]int{"n0": 2})
 	pool.Devices = []*DeviceState{dev("d0", "n0", 0.2, 0.9)}
-	got := Schedule(Request{Util: 0.5, Mem: 0.1}, pool)
+	got := oracle.Schedule(Request{Util: 0.5, Mem: 0.1}, pool)
 	if got.Outcome != NewDevice || got.NodeName != "n0" {
 		t.Fatalf("decision = %+v, want NewDevice on n0", got)
 	}
@@ -69,7 +75,7 @@ func TestScheduleNewDeviceWhenNothingFits(t *testing.T) {
 func TestScheduleNoCapacity(t *testing.T) {
 	pool := testPool(map[string]int{})
 	pool.Devices = []*DeviceState{dev("d0", "n0", 0.2, 0.2)}
-	got := Schedule(Request{Util: 0.5, Mem: 0.1}, pool)
+	got := oracle.Schedule(Request{Util: 0.5, Mem: 0.1}, pool)
 	if got.Outcome != NoCapacity {
 		t.Fatalf("decision = %+v, want NoCapacity", got)
 	}
@@ -79,7 +85,7 @@ func TestScheduleIdleDeviceUsedBeforeNew(t *testing.T) {
 	pool := testPool(map[string]int{"n0": 5})
 	idle := NewDeviceState("d-idle", "n0")
 	pool.Devices = []*DeviceState{idle}
-	got := Schedule(Request{Util: 0.9, Mem: 0.9}, pool)
+	got := oracle.Schedule(Request{Util: 0.9, Mem: 0.9}, pool)
 	if got.Outcome != Assigned || got.GPUID != "d-idle" {
 		t.Fatalf("decision = %+v, want idle reuse", got)
 	}
@@ -94,7 +100,7 @@ func TestScheduleIdleDeviceResetsStaleLabels(t *testing.T) {
 	stale.Excl = "old-tenant"
 	stale.Anti["old"] = true
 	pool.Devices = []*DeviceState{stale}
-	got := Schedule(Request{Util: 0.5, Mem: 0.5, Anti: "old"}, pool)
+	got := oracle.Schedule(Request{Util: 0.5, Mem: 0.5, Anti: "old"}, pool)
 	if got.Outcome != Assigned {
 		t.Fatalf("decision = %+v: stale labels on idle device must not filter it", got)
 	}
@@ -105,11 +111,11 @@ func TestScheduleIdleDeviceResetsStaleLabels(t *testing.T) {
 
 func TestScheduleAffinityColocates(t *testing.T) {
 	pool := testPool(map[string]int{"n0": 4})
-	first := Schedule(Request{Util: 0.3, Mem: 0.3, Aff: "grp"}, pool)
+	first := oracle.Schedule(Request{Util: 0.3, Mem: 0.3, Aff: "grp"}, pool)
 	if first.Outcome != NewDevice {
 		t.Fatalf("first = %+v", first)
 	}
-	second := Schedule(Request{Util: 0.3, Mem: 0.3, Aff: "grp"}, pool)
+	second := oracle.Schedule(Request{Util: 0.3, Mem: 0.3, Aff: "grp"}, pool)
 	if second.Outcome != Assigned || second.GPUID != first.GPUID {
 		t.Fatalf("second = %+v, want same device %s", second, first.GPUID)
 	}
@@ -121,7 +127,7 @@ func TestScheduleAffinityPrefersIdleForNewGroup(t *testing.T) {
 		dev("d-busy", "n0", 0.7, 0.7),
 		NewDeviceState("d-idle", "n0"),
 	}
-	got := Schedule(Request{Util: 0.1, Mem: 0.1, Aff: "grp"}, pool)
+	got := oracle.Schedule(Request{Util: 0.1, Mem: 0.1, Aff: "grp"}, pool)
 	if got.Outcome != Assigned || got.GPUID != "d-idle" {
 		t.Fatalf("decision = %+v, want idle device for a fresh affinity group", got)
 	}
@@ -129,8 +135,8 @@ func TestScheduleAffinityPrefersIdleForNewGroup(t *testing.T) {
 
 func TestScheduleAffinityRejectsOnExclusionMismatch(t *testing.T) {
 	pool := testPool(map[string]int{"n0": 4})
-	Schedule(Request{Util: 0.2, Mem: 0.2, Aff: "grp", Excl: "tenant-a"}, pool)
-	got := Schedule(Request{Util: 0.2, Mem: 0.2, Aff: "grp", Excl: "tenant-b"}, pool)
+	oracle.Schedule(Request{Util: 0.2, Mem: 0.2, Aff: "grp", Excl: "tenant-a"}, pool)
+	got := oracle.Schedule(Request{Util: 0.2, Mem: 0.2, Aff: "grp", Excl: "tenant-b"}, pool)
 	if got.Outcome != Rejected {
 		t.Fatalf("decision = %+v, want Rejected (exclusion mismatch on affinity device)", got)
 	}
@@ -138,8 +144,8 @@ func TestScheduleAffinityRejectsOnExclusionMismatch(t *testing.T) {
 
 func TestScheduleAffinityRejectsOnAntiAffinity(t *testing.T) {
 	pool := testPool(map[string]int{"n0": 4})
-	Schedule(Request{Util: 0.2, Mem: 0.2, Aff: "grp", Anti: "solo"}, pool)
-	got := Schedule(Request{Util: 0.2, Mem: 0.2, Aff: "grp", Anti: "solo"}, pool)
+	oracle.Schedule(Request{Util: 0.2, Mem: 0.2, Aff: "grp", Anti: "solo"}, pool)
+	got := oracle.Schedule(Request{Util: 0.2, Mem: 0.2, Aff: "grp", Anti: "solo"}, pool)
 	if got.Outcome != Rejected {
 		t.Fatalf("decision = %+v, want Rejected (anti-affinity conflict within affinity group)", got)
 	}
@@ -147,8 +153,8 @@ func TestScheduleAffinityRejectsOnAntiAffinity(t *testing.T) {
 
 func TestScheduleAffinityRejectsOnCapacity(t *testing.T) {
 	pool := testPool(map[string]int{"n0": 4})
-	Schedule(Request{Util: 0.8, Mem: 0.2, Aff: "grp"}, pool)
-	got := Schedule(Request{Util: 0.5, Mem: 0.2, Aff: "grp"}, pool)
+	oracle.Schedule(Request{Util: 0.8, Mem: 0.2, Aff: "grp"}, pool)
+	got := oracle.Schedule(Request{Util: 0.5, Mem: 0.2, Aff: "grp"}, pool)
 	if got.Outcome != Rejected {
 		t.Fatalf("decision = %+v, want Rejected (affinity device full)", got)
 	}
@@ -156,9 +162,9 @@ func TestScheduleAffinityRejectsOnCapacity(t *testing.T) {
 
 func TestScheduleAntiAffinitySeparates(t *testing.T) {
 	pool := testPool(map[string]int{"n0": 4})
-	a := Schedule(Request{Util: 0.2, Mem: 0.2, Anti: "spread"}, pool)
-	b := Schedule(Request{Util: 0.2, Mem: 0.2, Anti: "spread"}, pool)
-	c := Schedule(Request{Util: 0.2, Mem: 0.2, Anti: "spread"}, pool)
+	a := oracle.Schedule(Request{Util: 0.2, Mem: 0.2, Anti: "spread"}, pool)
+	b := oracle.Schedule(Request{Util: 0.2, Mem: 0.2, Anti: "spread"}, pool)
+	c := oracle.Schedule(Request{Util: 0.2, Mem: 0.2, Anti: "spread"}, pool)
 	ids := map[string]bool{a.GPUID: true, b.GPUID: true, c.GPUID: true}
 	if len(ids) != 3 {
 		t.Fatalf("anti-affinity containers share devices: %v %v %v", a.GPUID, b.GPUID, c.GPUID)
@@ -167,13 +173,13 @@ func TestScheduleAntiAffinitySeparates(t *testing.T) {
 
 func TestScheduleExclusionSeparatesTenants(t *testing.T) {
 	pool := testPool(map[string]int{"n0": 4})
-	a := Schedule(Request{Util: 0.2, Mem: 0.2, Excl: "tenant-a"}, pool)
-	b := Schedule(Request{Util: 0.2, Mem: 0.2, Excl: "tenant-b"}, pool)
+	a := oracle.Schedule(Request{Util: 0.2, Mem: 0.2, Excl: "tenant-a"}, pool)
+	b := oracle.Schedule(Request{Util: 0.2, Mem: 0.2, Excl: "tenant-b"}, pool)
 	if a.GPUID == b.GPUID {
 		t.Fatal("different exclusion labels share a device")
 	}
 	// Same label may share.
-	c := Schedule(Request{Util: 0.2, Mem: 0.2, Excl: "tenant-a"}, pool)
+	c := oracle.Schedule(Request{Util: 0.2, Mem: 0.2, Excl: "tenant-a"}, pool)
 	if c.GPUID != a.GPUID {
 		t.Fatalf("same exclusion label split: %v vs %v", c.GPUID, a.GPUID)
 	}
@@ -181,8 +187,8 @@ func TestScheduleExclusionSeparatesTenants(t *testing.T) {
 
 func TestScheduleExclusionVsUnlabelled(t *testing.T) {
 	pool := testPool(map[string]int{"n0": 4})
-	a := Schedule(Request{Util: 0.2, Mem: 0.2}, pool)
-	b := Schedule(Request{Util: 0.2, Mem: 0.2, Excl: "tenant-a"}, pool)
+	a := oracle.Schedule(Request{Util: 0.2, Mem: 0.2}, pool)
+	b := oracle.Schedule(Request{Util: 0.2, Mem: 0.2, Excl: "tenant-a"}, pool)
 	if a.GPUID == b.GPUID {
 		t.Fatal("exclusion-labelled container shares with unlabelled one")
 	}
@@ -197,7 +203,7 @@ func TestScheduleWorstFitForAffinityDevices(t *testing.T) {
 	g2 := dev("d-g2", "n0", 0.6, 0.9)
 	g2.Aff["g2"] = true
 	pool.Devices = []*DeviceState{g1, g2}
-	got := Schedule(Request{Util: 0.2, Mem: 0.1}, pool)
+	got := oracle.Schedule(Request{Util: 0.2, Mem: 0.1}, pool)
 	if got.Outcome != Assigned || got.GPUID != "d-g2" {
 		t.Fatalf("decision = %+v, want worst-fit d-g2", got)
 	}
@@ -206,7 +212,7 @@ func TestScheduleWorstFitForAffinityDevices(t *testing.T) {
 func TestScheduleMemoryConstraintFilters(t *testing.T) {
 	pool := testPool(map[string]int{"n0": 1})
 	pool.Devices = []*DeviceState{dev("d0", "n0", 0.9, 0.05)}
-	got := Schedule(Request{Util: 0.1, Mem: 0.2}, pool)
+	got := oracle.Schedule(Request{Util: 0.1, Mem: 0.2}, pool)
 	if got.Outcome != NewDevice {
 		t.Fatalf("decision = %+v, want NewDevice (memory exhausted on d0)", got)
 	}
@@ -214,7 +220,7 @@ func TestScheduleMemoryConstraintFilters(t *testing.T) {
 
 func TestScheduleNewDeviceSpreadsAcrossNodes(t *testing.T) {
 	pool := testPool(map[string]int{"n0": 1, "n1": 3})
-	got := Schedule(Request{Util: 0.5, Mem: 0.5}, pool)
+	got := oracle.Schedule(Request{Util: 0.5, Mem: 0.5}, pool)
 	if got.Outcome != NewDevice || got.NodeName != "n1" {
 		t.Fatalf("decision = %+v, want new device on n1 (most free)", got)
 	}
@@ -240,7 +246,7 @@ func TestPropertyAffinityOrderIndependent(t *testing.T) {
 			pool := testPool(map[string]int{"n0": 64})
 			groups := map[string]map[string]bool{}
 			for _, idx := range order {
-				dec := Schedule(reqs[idx], pool)
+				dec := oracle.Schedule(reqs[idx], pool)
 				if dec.Outcome == Rejected || dec.Outcome == NoCapacity {
 					return nil
 				}
@@ -295,7 +301,7 @@ func TestPropertyScheduleInvariants(t *testing.T) {
 			case 3:
 				r.Excl = fmt.Sprintf("excl%d", v%2)
 			}
-			dec := Schedule(r, pool)
+			dec := oracle.Schedule(r, pool)
 			if dec.Outcome == Rejected || dec.Outcome == NoCapacity {
 				continue
 			}

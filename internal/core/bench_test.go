@@ -46,43 +46,6 @@ func benchPopulate(n int) *apiserver.Server {
 	return srv
 }
 
-// BenchmarkAlgorithm1 measures a single Schedule call against pools of
-// varying size — the pure-decision cost underneath Figure 11.
-func BenchmarkAlgorithm1(b *testing.B) {
-	for _, devices := range []int{4, 32, 256} {
-		b.Run(fmt.Sprintf("devices=%d", devices), func(b *testing.B) {
-			mk := func() *Pool {
-				n := 0
-				pool := &Pool{
-					FreePhysical: map[string]int{"n0": 4},
-					NewID: func() string {
-						n++
-						return fmt.Sprintf("new-%d", n)
-					},
-				}
-				for i := 0; i < devices; i++ {
-					d := NewDeviceState(fmt.Sprintf("d%03d", i), "n0")
-					d.Idle = false
-					d.Util = float64(i%10) / 10
-					d.Mem = 0.5
-					pool.Devices = append(pool.Devices, d)
-				}
-				return pool
-			}
-			pool := mk()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				Schedule(Request{Util: 0.05, Mem: 0.01}, pool)
-				if i%512 == 511 {
-					b.StopTimer()
-					pool = mk() // residuals exhausted; rebuild
-					b.StartTimer()
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkBuildPool measures pool derivation from API state (the other
 // half of a scheduling cycle).
 func BenchmarkBuildPool(b *testing.B) {

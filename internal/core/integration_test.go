@@ -4,8 +4,6 @@ import (
 	"fmt"
 	. "kubeshare/internal/core"
 	"kubeshare/internal/core/schedfw"
-	"kubeshare/internal/core/schedfw/fwk"
-	"kubeshare/internal/core/schedfw/plugins"
 	"math"
 	"testing"
 	"time"
@@ -406,45 +404,6 @@ func SharePodsGetWall(t *testing.T, c *kube.Cluster, name string) time.Duration 
 		t.Fatalf("%s: %s (%s)", name, sp.Status.Phase, sp.Status.Message)
 	}
 	return sp.Status.FinishTime - sp.Status.RunningTime
-}
-
-// spreadFilter is a custom scheduling policy expressed as a filter plugin:
-// it votes out every device that already hosts a tenant, so each request
-// opens a fresh vGPU (the default set's allocate phase) instead of sharing.
-type spreadFilter struct{}
-
-func (spreadFilter) Name() string { return "spread" }
-
-func (spreadFilter) Filter(u fwk.Unit, d *DeviceState) bool { return d.Idle }
-
-// TestCustomSchedulingPolicy extends Algorithm 1 with a spread-everything
-// filter (every request on a fresh device) and verifies the DevMgr
-// machinery serves it unchanged — the §4.6 decoupling claim.
-func TestCustomSchedulingPolicy(t *testing.T) {
-	env := sim.NewEnv()
-	c, err := kube.NewCluster(env, kube.DefaultConfig(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ks, err := schedfw.Install(c, Config{},
-		schedfw.WithPlugins(append(plugins.Default(), spreadFilter{})...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	registerTrainImage(c)
-	s := &testStack{env: env, c: c, ks: ks}
-	s.env.Go("submit", func(p *sim.Proc) {
-		s.create(t, sharePod("a", 0.2, 0.4, 0.1, 1))
-		s.create(t, sharePod("b", 0.2, 0.4, 0.1, 1))
-	})
-	s.env.Run()
-	a, b := s.get(t, "a"), s.get(t, "b")
-	if a.Status.Phase != SharePodSucceeded || b.Status.Phase != SharePodSucceeded {
-		t.Fatalf("phases %s/%s", a.Status.Phase, b.Status.Phase)
-	}
-	if a.Status.UUID == b.Status.UUID {
-		t.Fatal("custom spread policy ignored: tenants share a device")
-	}
 }
 
 func TestValidateSharePodRejectsBadSpecs(t *testing.T) {

@@ -15,10 +15,10 @@ import (
 // GaiaGPU, Deepomatic — §3.1/§6) running on the framework driver: the same
 // coalesced wake loop, batched cycles and staged bulk commits as the
 // KubeShare driver, with the extender's aggregate-capacity policy in place
-// of the plugin pipeline. Fractional demands count against each node's
-// aggregate GPU capacity and the in-node device binding is a round-robin
-// the scheduler neither sees nor controls — reproducing the Figure 3a
-// pathology the plugin set avoids.
+// of Algorithm 1. Fractional demands count against each node's aggregate
+// GPU capacity and the in-node device binding is a round-robin the
+// scheduler neither sees nor controls — reproducing the Figure 3a
+// pathology Algorithm 1 avoids.
 //
 // The policy keeps the legacy architecture's re-list-per-cycle accounting
 // (it has no incremental snapshot — that is part of the baseline's cost),
@@ -45,8 +45,8 @@ type Extender struct {
 }
 
 // NewExtender creates the baseline scheduler on the framework driver;
-// Start launches it. Plugin and gang options do not apply to the baseline
-// and are ignored.
+// Start launches it. The gang option does not apply to the baseline and
+// is ignored.
 func NewExtender(env *sim.Env, srv *apiserver.Server, opts ...Option) *Extender {
 	o := options{batchSize: DefaultBatchSize}
 	for _, opt := range opts {

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"kubeshare/internal/core"
-	"kubeshare/internal/core/schedfw/fwk"
 	"kubeshare/internal/kube/api"
 	"kubeshare/internal/sim"
 )
@@ -40,7 +39,7 @@ type gangState struct {
 //
 // It returns the number of staged units (the gang's contribution to the
 // batch budget).
-func (s *Scheduler) scheduleGang(gang string, pending []*core.SharePod, txn *fwk.Txn, out *[]staged) int {
+func (s *Scheduler) scheduleGang(gang string, pending []*core.SharePod, txn *Txn, out *[]staged) int {
 	// Gather the gang's live members from the whole pending set (not just
 	// the batch window), oldest first — pending is already age-sorted.
 	var members []*core.SharePod
@@ -60,18 +59,11 @@ func (s *Scheduler) scheduleGang(gang string, pending []*core.SharePod, txn *fwk
 	complete := len(members) >= size
 
 	mark := txn.Checkpoint()
-	type decidedUnit struct {
-		sp  *core.SharePod
-		u   fwk.Unit
-		dec core.Decision
-	}
-	var decided []decidedUnit
+	var decided []staged
 	rejectReason := ""
 	short := false
 	for _, sp := range members {
-		u := unitOf(sp)
-		dec := s.engine.Schedule(u, txn)
-		s.decisions.Inc()
+		dec := s.decide(sp, txn)
 		switch dec.Outcome {
 		case core.Rejected:
 			rejectReason = fmt.Sprintf("gang %s: member %s unschedulable: %s", gang, sp.Name, dec.Reason)
@@ -81,24 +73,17 @@ func (s *Scheduler) scheduleGang(gang string, pending []*core.SharePod, txn *fwk
 				s.conflicts.Inc()
 			}
 		default:
-			decided = append(decided, decidedUnit{sp: sp, u: u, dec: dec})
+			decided = append(decided, staged{name: sp.Name, key: api.Key(sp), created: sp.CreationTime, dec: dec})
 			continue
 		}
 		break
-	}
-
-	unwind := func() {
-		for i := len(decided) - 1; i >= 0; i-- {
-			s.engine.Unreserve(decided[i].u, txn, decided[i].dec)
-		}
-		txn.Rollback(mark)
 	}
 
 	switch {
 	case rejectReason != "":
 		// A member's constraints are unsatisfiable — the gang can never be
 		// admitted whole, so every member is rejected with the shared reason.
-		unwind()
+		txn.Rollback(mark)
 		for _, sp := range members {
 			*out = append(*out, staged{name: sp.Name, key: api.Key(sp), created: sp.CreationTime,
 				dec: core.Decision{Outcome: core.Rejected, Reason: rejectReason}})
@@ -108,9 +93,7 @@ func (s *Scheduler) scheduleGang(gang string, pending []*core.SharePod, txn *fwk
 
 	case complete && !short:
 		// All-or-nothing satisfied: stage every member.
-		for _, d := range decided {
-			*out = append(*out, staged{name: d.sp.Name, key: api.Key(d.sp), created: d.sp.CreationTime, dec: d.dec})
-		}
+		*out = append(*out, decided...)
 		delete(s.gangs, gang)
 		s.gangAdmitted.Inc()
 		return len(members)
@@ -130,7 +113,7 @@ func (s *Scheduler) scheduleGang(gang string, pending []*core.SharePod, txn *fwk
 			s.gangTimeouts.Inc()
 		}
 		if st.expired {
-			unwind()
+			txn.Rollback(mark)
 		} else {
 			// Keep the partial reservations on the transaction so younger
 			// units this cycle cannot take the gang's capacity; arm a wake

@@ -1,15 +1,13 @@
-// Package schedfw is the scheduling framework driver: the batched,
-// plugin-phased successor to the legacy single-sharePod KubeShare-Sched
-// loop. Each cycle drains the pending queue into a batch, runs every unit
-// through the fwk engine (pre-filter → filter → score → allocate → reserve)
-// against a transactional view of the incremental snapshot, resolves
-// intra-batch conflicts through the reservation journal, and commits the
-// staged placements in bulk through the API server.
+// Package schedfw is KubeShare-Sched: the batched successor to the legacy
+// single-sharePod scheduling loop. Each cycle drains the pending queue into
+// a batch, decides every sharePod with Algorithm 1 (Schedule) against a
+// transactional view of the incremental snapshot, resolves intra-batch
+// conflicts through the reservation journal, and commits the staged
+// placements in bulk through the API server.
 //
-// The default configuration — the Algorithm 1 plugin set, batch size 1 —
-// reproduces the legacy scheduler's placements, spans, events and counters
-// exactly; batching and gang scheduling are opt-in extensions on the same
-// pipeline.
+// The default configuration — batch size 1 — reproduces the legacy
+// scheduler's placements, spans, events and counters exactly; batching and
+// gang scheduling are opt-in extensions on the same cycle.
 package schedfw
 
 import (
@@ -17,8 +15,6 @@ import (
 	"time"
 
 	"kubeshare/internal/core"
-	"kubeshare/internal/core/schedfw/fwk"
-	"kubeshare/internal/core/schedfw/plugins"
 	"kubeshare/internal/kube/api"
 	"kubeshare/internal/kube/apiserver"
 	"kubeshare/internal/kube/store"
@@ -42,8 +38,18 @@ const (
 	metricPhasePrefix = "kubeshare_sched_phase_"
 )
 
-// PhaseMetric returns the run-counter name for a fwk phase.
-func PhaseMetric(phase string) string { return metricPhasePrefix + phase + "_runs_total" }
+// Algorithm 1's phases, in order. Each decision counts the phases it ran
+// (see countPhases), one kubeshare_sched_phase_<phase>_runs_total each.
+const (
+	phasePreFilter = iota // every decision
+	phaseFilter           // step 2, requests without an affinity label
+	phaseScore            // step 3, requests without an affinity label
+	phaseAlloc            // the new-device fallback
+	phaseReserve          // decisions that placed onto the pool
+	numPhases
+)
+
+var phaseNames = [numPhases]string{"prefilter", "filter", "score", "alloc", "reserve"}
 
 // Defaults for the framework knobs.
 const (
@@ -59,7 +65,6 @@ type options struct {
 	cfg         core.SchedulerConfig
 	batchSize   int
 	gangTimeout time.Duration
-	plugins     []fwk.Plugin
 }
 
 // Option configures the framework driver.
@@ -93,21 +98,13 @@ func WithGangTimeout(d time.Duration) Option {
 	return func(o *options) { o.gangTimeout = d }
 }
 
-// WithPlugins replaces the default Algorithm 1 plugin set — §4.6's
-// pluggable scheduling policy: a custom policy is a plugin list, typically
-// plugins.Default() with extra filters or scorers appended.
-func WithPlugins(ps ...fwk.Plugin) Option {
-	return func(o *options) { o.plugins = ps }
-}
-
-// Scheduler is the framework driver. It owns everything the plugins must
-// not: the watch streams and incremental snapshot, the cycle clock, the
-// batch transaction, gang holds, and the bulk commit path to the API server.
+// Scheduler is the framework driver. It owns everything Schedule must not:
+// the watch streams and incremental snapshot, the cycle clock, the batch
+// transaction, gang holds, and the bulk commit path to the API server.
 type Scheduler struct {
-	env    *sim.Env
-	srv    *apiserver.Server
-	cfg    core.SchedulerConfig
-	engine *fwk.Engine
+	env *sim.Env
+	srv *apiserver.Server
+	cfg core.SchedulerConfig
 
 	batchSize   int
 	gangTimeout time.Duration
@@ -138,12 +135,12 @@ type Scheduler struct {
 	conflicts    *obs.Counter
 	gangAdmitted *obs.Counter
 	gangTimeouts *obs.Counter
-	phaseRuns    map[string]*obs.Counter
+	phaseRuns    [numPhases]*obs.Counter
 }
 
 // New creates the framework driver; Start launches it. With no options it
-// is the legacy scheduler, re-expressed: Algorithm 1 as the default plugin
-// set, batch size 1, identical watch wiring, counters, spans and events.
+// is the legacy scheduler, re-expressed: batch size 1, identical watch
+// wiring, counters, spans and events.
 func New(env *sim.Env, srv *apiserver.Server, opts ...Option) *Scheduler {
 	o := options{batchSize: DefaultBatchSize, gangTimeout: DefaultGangTimeout}
 	for _, opt := range opts {
@@ -155,15 +152,11 @@ func New(env *sim.Env, srv *apiserver.Server, opts ...Option) *Scheduler {
 	if o.batchSize < 1 {
 		o.batchSize = 1
 	}
-	if o.plugins == nil {
-		o.plugins = plugins.Default()
-	}
 	rt := srv.Obs()
 	s := &Scheduler{
 		env:          env,
 		srv:          srv,
 		cfg:          o.cfg,
-		engine:       fwk.NewEngine(o.plugins),
 		batchSize:    o.batchSize,
 		gangTimeout:  o.gangTimeout,
 		snap:         core.NewSnapshot(o.cfg.MemOvercommitFactor),
@@ -179,12 +172,10 @@ func New(env *sim.Env, srv *apiserver.Server, opts ...Option) *Scheduler {
 		conflicts:    rt.Counter(MetricSchedConflicts),
 		gangAdmitted: rt.Counter(MetricSchedGangAdmissions),
 		gangTimeouts: rt.Counter(MetricSchedGangTimeouts),
-		phaseRuns:    make(map[string]*obs.Counter, len(fwk.Phases)),
 	}
-	for _, ph := range fwk.Phases {
-		s.phaseRuns[ph] = rt.Counter(PhaseMetric(ph))
+	for ph, name := range phaseNames {
+		s.phaseRuns[ph] = rt.Counter(metricPhasePrefix + name + "_runs_total")
 	}
-	s.engine.SetPhaseHook(func(ph string) { s.phaseRuns[ph].Inc() })
 	return s
 }
 
@@ -334,7 +325,7 @@ func (s *Scheduler) runCycle(p *sim.Proc) bool {
 	p.Sleep(s.cfg.CycleLatency)
 	// The watch procs drained any deltas during the sleep; the snapshot is
 	// current as of now. One pool materialization serves the whole batch.
-	txn := fwk.NewTxn(s.snap.NewPool(s.newGPUID))
+	txn := NewTxn(s.snap.NewPool(s.newGPUID))
 
 	var out []staged
 	progressed := s.stage(pending, txn, &out)
@@ -357,7 +348,7 @@ func (s *Scheduler) runCycle(p *sim.Proc) bool {
 // stage decides units one at a time, in age order, against the live
 // transaction until the batch is full — with batch size 1, exactly the
 // legacy pace and placements.
-func (s *Scheduler) stage(pending []*core.SharePod, txn *fwk.Txn, out *[]staged) int {
+func (s *Scheduler) stage(pending []*core.SharePod, txn *Txn, out *[]staged) int {
 	progressed := 0
 	seenGang := map[string]bool{}
 	for _, cand := range pending {
@@ -376,8 +367,7 @@ func (s *Scheduler) stage(pending []*core.SharePod, txn *fwk.Txn, out *[]staged)
 			progressed += s.scheduleGang(g, pending, txn, out)
 			continue
 		}
-		dec := s.engine.Schedule(unitOf(sp), txn)
-		s.decisions.Inc()
+		dec := s.decide(sp, txn)
 		switch dec.Outcome {
 		case core.Assigned, core.NewDevice, core.Rejected:
 			*out = append(*out, staged{name: sp.Name, key: api.Key(sp), created: sp.CreationTime, dec: dec})
@@ -454,14 +444,36 @@ func (s *Scheduler) applyRejection(name, reason string) {
 	s.snap.Apply(store.Event{Type: store.Modified, Object: updated})
 }
 
-// unitOf converts a sharePod into its framework scheduling view.
-func unitOf(sp *core.SharePod) fwk.Unit {
-	return fwk.Unit{
-		Name:     sp.Name,
-		Created:  sp.CreationTime,
-		Req:      core.RequestOf(sp),
-		Gang:     sp.Spec.Gang,
-		GangSize: sp.Spec.GangSize,
+// decide runs Algorithm 1 for one sharePod against the cycle transaction
+// and counts the decision and the phases it ran.
+func (s *Scheduler) decide(sp *core.SharePod, txn *Txn) core.Decision {
+	r := core.RequestOf(sp)
+	dec := Schedule(&r, txn)
+	s.decisions.Inc()
+	s.countPhases(&r, dec)
+	return dec
+}
+
+// countPhases derives the phases a decision ran from the request and the
+// outcome: step 1 (prefilter) always runs; an affinity request is decided
+// there (group device, idle device, new device or rejection), every other
+// request runs step 2 (filter) and step 3 (score); the new-device fallback
+// (alloc) runs when no existing device was chosen; reserve runs when the
+// decision placed onto the pool.
+func (s *Scheduler) countPhases(r *core.Request, dec core.Decision) {
+	s.phaseRuns[phasePreFilter].Inc()
+	if r.Aff == "" {
+		s.phaseRuns[phaseFilter].Inc()
+		s.phaseRuns[phaseScore].Inc()
+	}
+	switch dec.Outcome {
+	case core.NewDevice:
+		s.phaseRuns[phaseAlloc].Inc()
+		s.phaseRuns[phaseReserve].Inc()
+	case core.NoCapacity:
+		s.phaseRuns[phaseAlloc].Inc()
+	case core.Assigned:
+		s.phaseRuns[phaseReserve].Inc()
 	}
 }
 

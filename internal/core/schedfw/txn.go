@@ -1,10 +1,10 @@
-package fwk
+package schedfw
 
 import "kubeshare/internal/core"
 
-// Txn is the transactional view of one scheduling cycle's pool. Reserve
-// plugins mutate devices only through it; every mutation is journaled, so
-// the driver can checkpoint before a gang's first member and roll the whole
+// Txn is the transactional view of one scheduling cycle's pool. Schedule
+// mutates devices only through it; every mutation is journaled, so the
+// driver can checkpoint before a gang's first member and roll the whole
 // group back when a later member fails — the all-or-nothing reserve.
 //
 // The journal is an undo log, not a copy of the pool: rollback restores
@@ -38,10 +38,6 @@ type txnOp struct {
 // NewTxn wraps a cycle's pool. The pool is private to the cycle (the
 // snapshot materializes a fresh one per cycle), so the transaction owns it.
 func NewTxn(pool *core.Pool) *Txn { return &Txn{pool: pool} }
-
-// Pool exposes the pool for reading (filters, scorers, allocators).
-// Mutations must go through Place / AddDevice.
-func (t *Txn) Pool() *core.Pool { return t.pool }
 
 // Checkpoint marks the current journal position for a later Rollback.
 func (t *Txn) Checkpoint() Mark { return Mark(len(t.journal)) }

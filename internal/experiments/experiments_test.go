@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"kubeshare/internal/core"
+	"kubeshare/internal/core/oracle"
 )
 
 // cell parses a table cell as float.
@@ -205,14 +206,14 @@ func TestFig11LinearAndFast(t *testing.T) {
 }
 
 // TestFig11DecisionMatchesAlgorithm1 checks the decision Fig 11 times —
-// the framework engine over a fresh transaction, from a full rebuild and
-// from the incremental snapshot — is the one core.Schedule, the Algorithm 1
-// oracle, makes on the same state.
+// schedfw.Schedule over a fresh transaction, from a full rebuild and from
+// the incremental snapshot — is the one oracle.Schedule, the reference
+// Algorithm 1, makes on the same state.
 func TestFig11DecisionMatchesAlgorithm1(t *testing.T) {
 	for _, n := range []int{10, 100} {
 		srv := PopulateSchedulingState(n)
 		serial := 0
-		want := core.Schedule(fig11Unit.Req, core.BuildPool(srv, func() string {
+		want := oracle.Schedule(fig11Req, core.BuildPool(srv, func() string {
 			serial++
 			return fmt.Sprintf("fresh-%d", serial)
 		}))

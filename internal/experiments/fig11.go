@@ -5,8 +5,7 @@ import (
 	"time"
 
 	"kubeshare/internal/core"
-	"kubeshare/internal/core/schedfw/fwk"
-	"kubeshare/internal/core/schedfw/plugins"
+	"kubeshare/internal/core/schedfw"
 	"kubeshare/internal/kube/api"
 	"kubeshare/internal/kube/apiserver"
 	"kubeshare/internal/metrics"
@@ -81,14 +80,14 @@ func PopulateSchedulingState(n int) *apiserver.Server {
 	return srv
 }
 
-// fig11Unit is the probe sharePod every timed decision places.
-var fig11Unit = fwk.Unit{Name: "fig11-probe", Req: core.Request{Util: 0.3, Mem: 0.2}}
+// fig11Req is the probe request every timed decision places.
+var fig11Req = core.Request{Util: 0.3, Mem: 0.2}
 
-// decideOnce runs one decision through the scheduling framework's engine
-// with the default Algorithm 1 plugin set — the code path that places pods
-// in the running cluster.
+// decideOnce runs one decision through schedfw.Schedule over a fresh
+// transaction — the code path that places pods in the running cluster.
 func decideOnce(pool *core.Pool) core.Decision {
-	return fwk.NewEngine(plugins.Default()).Schedule(fig11Unit, fwk.NewTxn(pool))
+	r := fig11Req
+	return schedfw.Schedule(&r, schedfw.NewTxn(pool))
 }
 
 // ScheduleOnce performs one full scheduling decision (pool build +

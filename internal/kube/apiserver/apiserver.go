@@ -44,11 +44,11 @@ type Server struct {
 	// Telemetry: the cluster-wide obs runtime plus cached request
 	// counters. rt may be nil (observability off); the handles no-op.
 	rt         *obs.Runtime
-	reqWrites  *obs.Counter // create/update/delete mutations admitted
-	reqReads   *obs.Counter // get/list/count/scan calls served
-	reqWatches *obs.Counter // watch subscriptions opened (incl. resumes)
-	refResumes *obs.Counter // reflector resume-from-revision reconnects
-	refRelists *obs.Counter // reflector relist-on-gap reconnects
+	reqWrites  *obs.Counter    // create/update/delete mutations admitted
+	reqReads   *obs.Counter    // get/list/count/scan calls served
+	reqWatches *obs.Counter    // watch subscriptions opened (incl. resumes)
+	refResumes *obs.Counter    // reflector resume-from-revision reconnects
+	refRelists *obs.Counter    // reflector relist-on-gap reconnects
 	relistVec  *obs.CounterVec // relists partitioned by consumer component
 	restarts   *obs.Counter    // crash/restore cycles survived
 }

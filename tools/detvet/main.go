@@ -3,6 +3,8 @@
 // (time.Now), print to stdout (fmt.Print*), or import the global random
 // number generator (math/rand). Every source of time and randomness must
 // flow through sim.Env and simrand so a seeded run is bit-reproducible.
+// Nor may they import the reference Algorithm 1 (internal/core/oracle),
+// which only tests use.
 //
 // It also enforces metric-name hygiene on the telemetry registry: every
 // literal name passed to Counter/Gauge/FloatGauge/Histogram (and their
@@ -50,22 +52,19 @@ import (
 // do not apply to.
 var exemptDirs = []string{"internal/simrand"}
 
-// bannedImports are import paths simulation code must not use.
+// bannedImports are import paths non-test code must not use. The reference
+// Algorithm 1 is a test oracle: production code that schedules through it
+// would run a second, slower Algorithm 1 the equivalence property no
+// longer checks against anything.
 var bannedImports = map[string]string{
-	"math/rand":    "use kubeshare/internal/simrand (seeded streams) instead",
-	"math/rand/v2": "use kubeshare/internal/simrand (seeded streams) instead",
+	"math/rand":                      "use kubeshare/internal/simrand (seeded streams) instead",
+	"math/rand/v2":                   "use kubeshare/internal/simrand (seeded streams) instead",
+	"kubeshare/internal/core/oracle": "the reference Algorithm 1 is for _test.go files only; schedule through schedfw.Schedule",
 }
 
 // dirBannedImports bans imports only within package directories matching a
-// slash-separated suffix. Scheduler plugins read cluster state exclusively
-// through the framework's Pool/Txn view and write through Reserve — a
-// plugin holding an apiserver or store handle could bypass the cycle
-// transaction, breaking batched conflict resolution and gang rollback.
+// slash-separated suffix.
 var dirBannedImports = map[string]map[string]string{
-	"schedfw/plugins": {
-		"kubeshare/internal/kube/apiserver": "plugins must not reach the API server; read the Pool, write via Txn/Reserve",
-		"kubeshare/internal/kube/store":     "plugins must not reach the store; read the Pool, write via Txn/Reserve",
-	},
 	// Sharing-strategy implementations arbitrate device time below the
 	// control plane: they see clients only through the Strategy interface
 	// (Register/Admit/Release), so a strategy holding an apiserver or store

@@ -45,3 +45,15 @@ var now = time.Now //det:allow injectable default, off-simulation only
 		t.Fatalf("violations = %d, want 0", got)
 	}
 }
+
+func TestOracleImportFlagged(t *testing.T) {
+	src := `package p
+
+import "kubeshare/internal/core/oracle"
+
+var _ = oracle.Schedule
+`
+	if got := vet(t, src); got != 1 {
+		t.Fatalf("violations = %d, want 1", got)
+	}
+}

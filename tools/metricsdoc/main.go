@@ -80,7 +80,7 @@ var descriptions = map[string]string{
 // own section with a <placeholder> segment the sync rule skips.
 var dynamic = []struct{ name, typ, desc string }{
 	{"kubeshare_sched_phase_<phase>_runs_total", "Counter",
-		"Per-phase plugin executions in the scheduling framework (prefilter, filter, score, reserve, permit...); one counter per phase name."},
+		"Algorithm 1 phase runs per scheduling decision, one counter per phase: prefilter (every decision), filter and score (requests without an affinity label), alloc (new-device fallback), reserve (placed decisions)."},
 }
 
 func main() {
