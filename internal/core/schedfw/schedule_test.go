@@ -84,24 +84,27 @@ func randomPoolPair(rng *rand.Rand) (*core.Pool, *core.Pool) {
 // TestScheduleMatchesAlgorithm1 is the equivalence property: Schedule must
 // make the same decision — outcome, device, node, reason — as the
 // reference Algorithm 1 on every request of a random sequence, and leave
-// the pool in the same state.
+// the pool in the same state. The subtest names the reference's placement
+// policy: Schedule implements only the paper's.
 func TestScheduleMatchesAlgorithm1(t *testing.T) {
-	for seed := int64(0); seed < 300; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		reference, pool := randomPoolPair(rng)
-		txn := schedfw.NewTxn(pool)
-		for step := 0; step < 30; step++ {
-			r := randomRequest(rng)
-			want := oracle.Schedule(r, reference)
-			got := schedfw.Schedule(&r, txn)
-			if got != want {
-				t.Fatalf("seed %d step %d req %+v: Schedule %+v, reference %+v", seed, step, r, got, want)
+	t.Run("paper-policy", func(t *testing.T) {
+		for seed := int64(0); seed < 300; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			reference, pool := randomPoolPair(rng)
+			txn := schedfw.NewTxn(pool)
+			for step := 0; step < 30; step++ {
+				r := randomRequest(rng)
+				want := oracle.ScheduleWithPolicy(r, reference, oracle.PaperPolicy)
+				got := schedfw.Schedule(&r, txn)
+				if got != want {
+					t.Fatalf("seed %d step %d req %+v: Schedule %+v, reference %+v", seed, step, r, got, want)
+				}
+			}
+			if err := core.DiffPools(pool, reference); err != nil {
+				t.Fatalf("seed %d: pools diverged after sequence: %v", seed, err)
 			}
 		}
-		if err := core.DiffPools(pool, reference); err != nil {
-			t.Fatalf("seed %d: pools diverged after sequence: %v", seed, err)
-		}
-	}
+	})
 }
 
 // TestTxnRollback pins the undo log: placements and device creations after a
